@@ -12,9 +12,9 @@ import (
 // read and write latencies on a conventional PMEM DIMM, bare-metal PRAM,
 // and DRAM.
 type Fig02Result struct {
-	DIMMRead, DIMMWrite *sim.Histogram
-	PRAMRead, PRAMWrite *sim.Histogram
-	DRAMRead, DRAMWrite *sim.Histogram
+	DIMMRead, DIMMWrite *sim.Samples
+	PRAMRead, PRAMWrite *sim.Samples
+	DRAMRead, DRAMWrite *sim.Samples
 }
 
 // Fig02LatencyVariation reproduces Figure 2b with n random accesses per
@@ -25,9 +25,9 @@ func Fig02LatencyVariation(o Options) (Fig02Result, *report.Table) {
 		n = 3000
 	}
 	res := Fig02Result{
-		DIMMRead: sim.NewHistogram(), DIMMWrite: sim.NewHistogram(),
-		PRAMRead: sim.NewHistogram(), PRAMWrite: sim.NewHistogram(),
-		DRAMRead: sim.NewHistogram(), DRAMWrite: sim.NewHistogram(),
+		DIMMRead: sim.NewSamples(), DIMMWrite: sim.NewSamples(),
+		PRAMRead: sim.NewSamples(), PRAMWrite: sim.NewSamples(),
+		DRAMRead: sim.NewSamples(), DRAMWrite: sim.NewSamples(),
 	}
 	rng := sim.NewRNG(o.Seed)
 
@@ -83,7 +83,7 @@ func Fig02LatencyVariation(o Options) (Fig02Result, *report.Table) {
 
 	t := report.New("Fig 2b: random-access latency variation",
 		"device", "op", "mean", "p50", "p99", "max", "CoV")
-	add := func(name, op string, h *sim.Histogram) {
+	add := func(name, op string, h *sim.Samples) {
 		t.Add(name, op, report.Dur(h.Mean()), report.Dur(h.Percentile(50)),
 			report.Dur(h.Percentile(99)), report.Dur(h.Max()),
 			report.F(h.CoefficientOfVariation(), 3))

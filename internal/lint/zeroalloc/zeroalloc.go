@@ -76,7 +76,7 @@ var stdlibAllowed = map[string]bool{
 var required = map[string][]string{
 	"sim": {
 		"Engine.Schedule", "Engine.ScheduleAt", "Engine.Step", "Engine.Cancel",
-		"Counter.Inc", "Histogram.Add",
+		"Counter.Inc", "Histogram.Add", "bucketOf",
 	},
 	"cpu": {"interleaver.run"},
 	"linetab": {

@@ -105,8 +105,17 @@ func (d *Device) SetMeter(m *energy.Meter) { d.em = m }
 //lightpc:zeroalloc
 func (d *Device) checkRow(row uint64) {
 	if d.cfg.Rows != 0 && row >= d.cfg.Rows {
-		panic(fmt.Sprintf("pram: row %d out of range (rows=%d)", row, d.cfg.Rows))
+		//lint:allow zeroalloc an out-of-range row is a simulator bug; the panic path is cold
+		d.rowOutOfRange(row)
 	}
+}
+
+// rowOutOfRange panics out of line so checkRow stays small enough to
+// inline into Read and Write.
+//
+//go:noinline
+func (d *Device) rowOutOfRange(row uint64) {
+	panic(fmt.Sprintf("pram: row %d out of range (rows=%d)", row, d.cfg.Rows))
 }
 
 // Busy reports whether the row is inside a programming/cooling window at

@@ -267,6 +267,32 @@ func TestStatsCountReadsWrites(t *testing.T) {
 	}
 }
 
+// TestPSMSteadyStateAllocFree pins the OC-PMEM access hot path: once a
+// PSM has touched its working set, Read and Write (latency recording
+// included) must not allocate, with no pre-sizing of the histograms.
+func TestPSMSteadyStateAllocFree(t *testing.T) {
+	p := New(DefaultConfig())
+	rng := sim.NewRNG(3)
+	now := sim.Time(0)
+	// Touch every line of the working set once, then count every
+	// allocation across more accesses than the warm-up made (one measured
+	// run, so amortized growth cannot average down to zero).
+	const span = 1 << 10
+	for line := uint64(0); line < span; line++ {
+		now = p.Write(now, line)
+		now = p.Read(now, line)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4*span; i++ {
+			now = p.Write(now, rng.Uint64n(span))
+			now = p.Read(now, rng.Uint64n(span))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state PSM access made %.0f allocations over %d read/write pairs, want 0", allocs, 4*span)
+	}
+}
+
 // Property: acknowledgement and completion times never move backwards.
 func TestMonotonicServiceProperty(t *testing.T) {
 	f := func(ops []uint16, early bool) bool {

@@ -15,16 +15,14 @@ func (r *RNG) Clone() *RNG {
 	return &RNG{s: r.s}
 }
 
-// Clone returns a deep copy sharing no sample storage with h.
+// Clone returns an independent copy: the bucket array is a value field,
+// so one flat copy shares nothing with h.
 func (h *Histogram) Clone() *Histogram {
 	if h == nil {
 		return nil
 	}
-	return &Histogram{
-		samples: slices.Clone(h.samples),
-		sorted:  h.sorted,
-		sum:     h.sum,
-	}
+	c := *h
+	return &c
 }
 
 // Clone returns a deep copy of the engine's scheduling state: the slot

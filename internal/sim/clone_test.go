@@ -10,7 +10,7 @@ import (
 // mutable field fails here until the Clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, RNG{}, "s")
-	snapshot.CheckCovered(t, Histogram{}, "samples", "sorted", "sum")
+	snapshot.CheckCovered(t, Histogram{}, "n", "min", "max", "s1", "s2", "counts")
 	snapshot.CheckCovered(t, Engine{},
 		"now", "seq", "events", "live", "immHits", "heapMax",
 		"slots", "free", "heap", "imm", "immHead")
@@ -36,7 +36,8 @@ func TestRNGCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestHistogramCloneIndependence checks sample storage is not shared.
+// TestHistogramCloneIndependence checks a clone records independently of
+// its source.
 func TestHistogramCloneIndependence(t *testing.T) {
 	h := NewHistogram()
 	h.Add(10)
