@@ -15,20 +15,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-parallel: the conservative-parallel engine's tests under the race
-# detector at a forced 8-way GOMAXPROCS, so the epoch-barrier handshakes
-# are exercised with real preemption even on small CI runners (the
-# lockstep differential and fuzz-seed replays run goroutine pools at
-# worker counts up to 8).
+# race-parallel: the worker-pool parallelism tests (runner, experiment
+# suite, obs sweep and crash sweep at several -j) under the race detector
+# at a forced 8-way GOMAXPROCS, so the pools are exercised with real
+# preemption even on small CI runners.
 race-parallel:
 	GOMAXPROCS=8 $(GO) test -race -count=1 \
-		-run 'Parallel|Lockstep|Island|PDES' ./internal/sim ./internal/experiments ./internal/obs
+		-run Parallel ./internal/runner ./internal/experiments ./internal/obs/drive ./internal/crashpoint
 
 vet:
 	$(GO) vet ./...
 
 # lightpc-lint: the repo's own go/analysis suite (nodeterminism,
-# epcutorder, maporder, simtime, obsdeterminism, hotpath, islandsafe,
+# epcutorder, maporder, simtime, obsdeterminism, hotpath,
 # plus the fact-based interprocedural passes zeroalloc, detreach,
 # persistorder)
 # run through go vet's -vettool hook over the whole module — internal/,
@@ -41,7 +40,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 10 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: 9 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -68,16 +67,14 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-benchseed -out $(BIN)/bench-new.json
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
-# fuzz-smoke: a short native-fuzzing pass over each codec/parser target and
-# the event-scheduler differential model (the checked-in corpora also replay
+# fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
+# line tables and the crash-cut engine (the checked-in corpora also replay
 # as plain seeds in `make test`).
 fuzz-smoke:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEngineScheduleCancel -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzParallelDispatch -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s

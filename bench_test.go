@@ -64,57 +64,6 @@ func BenchmarkAllQuickParallel(b *testing.B) {
 	}
 }
 
-// benchAllQuickPar runs the whole quick suite with grid cells serial
-// (-j 1) and the island-partitioned engines at -p workers, so the ratio
-// against BenchmarkAllQuickSerial isolates within-simulation parallelism.
-func benchAllQuickPar(b *testing.B, workers int) {
-	requireRealParallelism(b)
-	o := experiments.QuickOptions()
-	o.Jobs = 1
-	o.Par = workers
-	b.ReportMetric(float64(workers), "p")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	for i := 0; i < b.N; i++ {
-		if experiments.Render(experiments.RunAll(o)) == "" {
-			b.Fatal("empty output")
-		}
-	}
-}
-
-func BenchmarkAllQuickParallelP2(b *testing.B)   { benchAllQuickPar(b, 2) }
-func BenchmarkAllQuickParallelP4(b *testing.B)   { benchAllQuickPar(b, 4) }
-func BenchmarkAllQuickParallelPMax(b *testing.B) { benchAllQuickPar(b, runtime.GOMAXPROCS(0)) }
-
-// pdesLongOpts is the long-horizon multi-island configuration: full
-// 8-island partition, enough references per island that epoch execution
-// dominates barrier crossings. The -p 1 vs -p N ratio of these benches is
-// the conservative engine's wall-clock speedup (perfdiff-gated).
-func pdesLongOpts(par int) experiments.Options {
-	return experiments.Options{SampleOps: 60_000, Seed: 1, Par: par}
-}
-
-func BenchmarkPDESLongHorizonSerial(b *testing.B) {
-	o := pdesLongOpts(1)
-	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.PDES(o)
-		if len(rows) != 8 {
-			b.Fatalf("expected 8 islands, got %d", len(rows))
-		}
-	}
-}
-
-func BenchmarkPDESLongHorizonParallel(b *testing.B) {
-	requireRealParallelism(b)
-	o := pdesLongOpts(runtime.GOMAXPROCS(0))
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.PDES(o)
-		if len(rows) != 8 {
-			b.Fatalf("expected 8 islands, got %d", len(rows))
-		}
-	}
-}
-
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, _ := experiments.TableI()

@@ -9,16 +9,13 @@
 //	lightpc-bench -quick          # trimmed sweeps (CI smoke)
 //	lightpc-bench -samples 200000 # more samples per workload run
 //	lightpc-bench -j 8            # run grid cells on 8 workers
-//	lightpc-bench -p 8            # 8 island workers inside parallel sims
 //	lightpc-bench -progress       # per-cell wall-clock progress on stderr
 //	lightpc-bench -quick -cpuprofile cpu.out   # pprof the suite
 //	lightpc-bench -quick -memprofile mem.out   # heap profile at exit
 //
 // The grid-shaped experiments decompose into independent cells executed
-// across -j workers (internal/runner); the island-partitioned simulations
-// additionally parallelize inside one run across -p workers
-// (internal/sim). The tables are byte-for-byte identical at any -j and
-// any -p, including the fully serial -j 1 -p 1.
+// across -j workers (internal/runner). The tables are byte-for-byte
+// identical at any -j, including the fully serial -j 1.
 package main
 
 import (
@@ -73,12 +70,15 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		format   = flag.String("format", "text", "output format: text | json")
 		jobs     = flag.Int("j", 0, "worker count for grid cells (0 = GOMAXPROCS, 1 = serial)")
-		par      = flag.Int("p", 0, "island workers inside one parallel simulation (0 = GOMAXPROCS, 1 = serial)")
 		progress = flag.Bool("progress", false, "report per-cell wall-clock progress on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+	if *format != "text" && *format != "json" {
+		fmt.Fprintf(os.Stderr, "lightpc-bench: unknown format %q (want text or json)\n", *format)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -124,7 +124,6 @@ func main() {
 	}
 	o.Seed = *seed
 	o.Jobs = *jobs
-	o.Par = *par
 	if *progress {
 		rep := newProgressReporter()
 		o.OnCellStart = rep.onStart

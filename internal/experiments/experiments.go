@@ -26,12 +26,6 @@ type Options struct {
 	// 0 means GOMAXPROCS; 1 forces serial execution. Output is
 	// byte-for-byte identical at every setting (see internal/runner).
 	Jobs int
-	// Par caps the worker count of the island-partitioned parallel
-	// engines (the -p knob, orthogonal to Jobs: Jobs fans out whole
-	// platform cells, Par parallelizes islands within one simulation).
-	// 0 means GOMAXPROCS; 1 forces the inline serial path. Output is
-	// byte-for-byte identical at every setting (see internal/sim).
-	Par int
 
 	// Energy attaches per-device joule meters to every platform the
 	// harnesses build; tables that know how grow a joules column. Off by

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -63,51 +62,5 @@ func TestProgressHooksObserveCells(t *testing.T) {
 	// Quick mode: 4 workloads x 3 platforms.
 	if starts != 12 {
 		t.Errorf("fig15 quick grid ran %d cells, want 12", starts)
-	}
-}
-
-// TestPDESParEquivalence is the island engine's contract surfaced at the
-// experiment level: the pdes tables at -p 1 are byte-for-byte identical
-// to -p 2/4/8 and -p GOMAXPROCS — island scheduling can never leak into
-// the output.
-func TestPDESParEquivalence(t *testing.T) {
-	render := func(par int) string {
-		o := QuickOptions()
-		o.Par = par
-		_, tab := PDES(o)
-		return tab.String()
-	}
-	want := render(1)
-	if want == "" {
-		t.Fatal("pdes rendered nothing at -p 1")
-	}
-	for _, p := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-		if got := render(p); got != want {
-			t.Fatalf("-p %d output diverged from -p 1; first diff near:\n%s", p,
-				firstDiff(got, want))
-		}
-	}
-}
-
-// TestPDESEnergyParEquivalence extends the invariant to the per-island
-// bank meters: each island charges only its own meter inside its horizon,
-// so the joule column is identical at every -p.
-func TestPDESEnergyParEquivalence(t *testing.T) {
-	render := func(par int) string {
-		o := QuickOptions()
-		o.Par = par
-		o.Energy = true
-		_, tab := PDES(o)
-		return tab.String()
-	}
-	want := render(1)
-	if !strings.Contains(want, "bank uJ") {
-		t.Fatalf("pdes energy table missing bank uJ column:\n%s", want)
-	}
-	for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if got := render(p); got != want {
-			t.Fatalf("-p %d energy output diverged from -p 1; first diff near:\n%s", p,
-				firstDiff(got, want))
-		}
 	}
 }

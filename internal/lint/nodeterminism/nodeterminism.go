@@ -7,8 +7,8 @@
 // run. Any call to time.Now/time.Since or to the process-global math/rand
 // source smuggles host state into the simulation and silently breaks that
 // property — usually in a code path no test happens to cover. All temporal
-// behavior must be expressed in sim.Time/sim.Duration charged through the
-// engine, and all randomness must flow through an explicitly seeded
+// behavior must be expressed in sim.Time/sim.Duration charged by the
+// models, and all randomness must flow through an explicitly seeded
 // sim.RNG.
 //
 // The check applies to non-test code in internal/... packages. Genuine
@@ -69,7 +69,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			switch pkgName.Imported().Path() {
 			case "time":
 				if temporal[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(), "time.%s in simulation code: wall-clock behavior breaks bit-for-bit determinism; charge simulated time (sim.Time) through the engine instead", sel.Sel.Name)
+					pass.Reportf(sel.Pos(), "time.%s in simulation code: wall-clock behavior breaks bit-for-bit determinism; charge simulated time (sim.Time) instead", sel.Sel.Name)
 				}
 			case "math/rand", "math/rand/v2":
 				pass.Reportf(sel.Pos(), "math/rand (%s.%s) in simulation code: ambient randomness breaks bit-for-bit determinism; draw from an explicitly seeded sim.RNG instead", id.Name, sel.Sel.Name)

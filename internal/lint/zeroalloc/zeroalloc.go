@@ -25,14 +25,14 @@
 // across packages — or a member of a small allocation-free stdlib
 // allowlist (math, math/bits). Dynamic calls (func values, interface
 // methods) cannot be verified and are reported; a deliberate dynamic hop
-// (the engine dispatching an event callback) takes a reasoned allow.
+// (the CPU calling its memory backend interface) takes a reasoned allow.
 //
 // Guard blocks that end in panic are cold by construction (a panic tears
 // the simulation down) and are skipped, so fmt.Sprintf in a bounds-check
 // panic does not need an allow.
 //
 // The analyzer also owns the pinned hot set: the functions BENCH_SEED.json
-// holds at 0 allocs/op (engine scheduling, line-table ops, disabled
+// holds at 0 allocs/op (sim statistics, line-table ops, disabled
 // instruments, device write paths) are registered here and must carry the
 // annotation, so the bench pin and the static contract cannot drift apart.
 package zeroalloc
@@ -74,10 +74,7 @@ var stdlibAllowed = map[string]bool{
 // annotation is reported, so deleting an annotation (or renaming a hot
 // function) cannot silently drop the static contract.
 var required = map[string][]string{
-	"sim": {
-		"Engine.Schedule", "Engine.ScheduleAt", "Engine.Step", "Engine.Cancel",
-		"Counter.Inc", "Histogram.Add", "bucketOf",
-	},
+	"sim": {"Counter.Inc", "Histogram.Add", "bucketOf"},
 	"cpu": {"interleaver.run"},
 	"linetab": {
 		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",

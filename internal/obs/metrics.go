@@ -333,20 +333,6 @@ func RegisterTraceStats(r *Registry, prefix string, s *trace.Stats) {
 	r.CounterFunc(prefix+"dcache_writes_total", "D$ write lookups", func() uint64 { return s.DWriteTotal })
 }
 
-// RegisterEngine exposes a sim.Engine's scheduler counters: events
-// dispatched, live queue depth, immediate-ring fast-path hits, and the
-// high-water marks of the heap and arena.
-func RegisterEngine(r *Registry, prefix string, e *sim.Engine) {
-	if r == nil || e == nil {
-		return
-	}
-	r.CounterFunc(prefix+"engine_dispatched_total", "events dispatched by the engine", func() uint64 { return e.Stats().Dispatched })
-	r.CounterFunc(prefix+"engine_immediate_total", "events that took the zero-delay ring fast path", func() uint64 { return e.Stats().ImmediateHits })
-	r.GaugeFunc(prefix+"engine_pending", "live events queued (canceled excluded)", func() float64 { return float64(e.Stats().Pending) })
-	r.GaugeFunc(prefix+"engine_heap_depth_max", "high-water mark of the timer heap", func() float64 { return float64(e.Stats().MaxHeapDepth) })
-	r.GaugeFunc(prefix+"engine_arena_slots", "event arena capacity (slots ever allocated)", func() float64 { return float64(e.Stats().ArenaSlots) })
-}
-
 // RegisterSnapshotStats exposes a snapshot.Stats fork accountant: how many
 // platform forks ran and how many bytes of mutable state they duplicated.
 // The totals are atomic sums, so they are identical at any -j worker count.
@@ -356,29 +342,4 @@ func RegisterSnapshotStats(r *Registry, prefix string, s *snapshot.Stats) {
 	}
 	r.CounterFunc(prefix+"snapshot_forks_total", "platform forks taken from snapshots", s.Forks)
 	r.CounterFunc(prefix+"snapshot_bytes_total", "approximate bytes of mutable state duplicated by forks", s.Bytes)
-}
-
-// RegisterParallelEngine exposes a sim.ParallelEngine's coordinator
-// counters plus every island's engine stats and barrier accounting. All
-// values except the worker knob are pure functions of the simulation —
-// identical at every -p — so dashboards built on them cannot leak
-// scheduling noise.
-func RegisterParallelEngine(r *Registry, prefix string, p *sim.ParallelEngine) {
-	if r == nil || p == nil {
-		return
-	}
-	r.GaugeFunc(prefix+"islands", "islands in the partition", func() float64 { return float64(p.Stats().Islands) })
-	r.GaugeFunc(prefix+"workers", "resolved -p worker count (the knob, not a result)", func() float64 { return float64(p.Stats().Workers) })
-	r.GaugeFunc(prefix+"lookahead_ps", "static epoch lookahead", func() float64 { return float64(p.Stats().Lookahead) })
-	r.CounterFunc(prefix+"epochs_total", "epoch barriers crossed", func() uint64 { return p.Stats().Epochs })
-	r.CounterFunc(prefix+"messages_total", "cross-island messages delivered", func() uint64 { return p.Stats().Messages })
-	for i := 0; i < p.Islands(); i++ {
-		il := p.Island(i)
-		ip := fmt.Sprintf("%sisland%d_", prefix, i)
-		RegisterEngine(r, ip, il.Engine())
-		r.CounterFunc(ip+"sent_total", "cross-island messages emitted", func() uint64 { return il.Stats().Sent })
-		r.CounterFunc(ip+"delivered_total", "cross-island messages received", func() uint64 { return il.Stats().Delivered })
-		r.CounterFunc(ip+"idle_epochs_total", "epochs that dispatched nothing (barrier-bound)", func() uint64 { return il.Stats().IdleEpochs })
-		r.GaugeFunc(ip+"barrier_stall_ps", "sim-time spent drained before epoch bounds", func() float64 { return float64(il.Stats().BarrierStall) })
-	}
 }

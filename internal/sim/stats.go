@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"sort"
@@ -161,7 +162,7 @@ func (h *Histogram) StdDev() Duration {
 	acc.Sub(acc, new(big.Int).Lsh(new(big.Int).Mul(c, wide(h.s1[:])), 1))
 	acc.Add(acc, wide(h.s2[:]))
 	sq, _ := new(big.Float).SetInt(acc).Float64()
-	return Duration(sqrt(sq / float64(h.n)))
+	return Duration(math.Sqrt(sq / float64(h.n)))
 }
 
 // wide converts a little-endian multi-word unsigned integer.
@@ -266,7 +267,7 @@ func (s *Samples) StdDev() Duration {
 		d := float64(x) - mean
 		acc += d * d
 	}
-	return Duration(sqrt(acc / float64(n)))
+	return Duration(math.Sqrt(acc / float64(n)))
 }
 
 // CoefficientOfVariation reports stddev/mean, a unitless spread measure used

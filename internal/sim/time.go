@@ -1,7 +1,6 @@
-// Package sim provides the deterministic discrete-event simulation substrate
-// used by every other package in the LightPC reproduction: a picosecond
-// clock, an event queue, a seeded pseudo-random source, and small statistics
-// helpers.
+// Package sim provides the deterministic simulation substrate used by every
+// other package in the LightPC reproduction: a picosecond time base, a
+// seeded pseudo-random source, and small statistics helpers.
 //
 // All simulated latencies in the repository are expressed as sim.Duration
 // (picoseconds) so that GHz-scale device timing and millisecond-scale OS
