@@ -26,10 +26,9 @@ race-parallel:
 vet:
 	$(GO) vet ./...
 
-# lightpc-lint: the repo's own go/analysis suite (nodeterminism,
-# epcutorder, maporder, simtime, obsdeterminism, hotpath,
-# plus the fact-based interprocedural passes zeroalloc, detreach,
-# persistorder)
+# lightpc-lint: the repo's own go/analysis suite, six analyzers
+# (epcutorder, simtime, hotpath, plus the fact-based interprocedural
+# passes detreach, zeroalloc, persistorder)
 # run through go vet's -vettool hook over the whole module — internal/,
 # cmd/, and examples/ alike. The wall time is printed so CI logs track
 # the cost of the suite as it grows.
@@ -40,7 +39,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 9 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: 6 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -62,7 +62,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	if err == nil {
 		t.Errorf("wall-clock package should fail vet, got success:\n%s", out)
 	}
-	if !strings.Contains(out, "nodeterminism") || !strings.Contains(out, "time.Now") {
-		t.Errorf("missing nodeterminism diagnostic in output:\n%s", out)
+	if !strings.Contains(out, "detreach") || !strings.Contains(out, "time.Now") {
+		t.Errorf("missing detreach diagnostic in output:\n%s", out)
 	}
 }

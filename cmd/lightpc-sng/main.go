@@ -32,6 +32,11 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	psu, err := power.LookupPSU(*psuName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lightpc-sng: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := kernel.DefaultConfig()
 	cfg.Cores = *cores
@@ -42,10 +47,6 @@ func main() {
 	k := kernel.New(cfg)
 	k.Tick(20)
 
-	psu := power.ATX()
-	if *psuName == "server" {
-		psu = power.Server()
-	}
 	window := sim.Duration(psu.SpecHoldUp)
 	if *holdup > 0 {
 		window = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond

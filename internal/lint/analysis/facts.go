@@ -139,7 +139,7 @@ func (s *FactStore) Len() int { return len(s.facts) }
 // content of a .vetx file.
 func (s *FactStore) Encode() []byte {
 	recs := make([]factRecord, 0, len(s.facts))
-	//lint:allow maporder records are sorted deterministically just below
+	//lint:allow detreach records are sorted deterministically just below
 	for k, v := range s.facts {
 		recs = append(recs, factRecord{Key: k, Value: v})
 	}

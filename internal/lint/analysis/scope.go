@@ -2,15 +2,22 @@ package analysis
 
 import "strings"
 
+// InTree reports whether the import path lies in the dir subtree, matching
+// whole path elements: "repro/internal/obs/drive" is in "internal/obs",
+// "repro/internal/observe" is not.
+func InTree(path, dir string) bool {
+	return path == dir ||
+		strings.HasPrefix(path, dir+"/") ||
+		strings.HasSuffix(path, "/"+dir) ||
+		strings.Contains(path, "/"+dir+"/")
+}
+
 // InternalPackage reports whether the import path lies in an internal/
 // subtree — the simulation core, where the determinism analyzers apply.
 // cmd/ and examples/ front-ends stay out of scope: they may legitimately
 // touch the host environment.
 func InternalPackage(path string) bool {
-	return path == "internal" ||
-		strings.HasPrefix(path, "internal/") ||
-		strings.HasSuffix(path, "/internal") ||
-		strings.Contains(path, "/internal/")
+	return InTree(path, "internal")
 }
 
 // SimPackage reports whether the import path is the simulation-substrate

@@ -8,5 +8,15 @@ import (
 )
 
 func TestDetreach(t *testing.T) {
-	linttest.Run(t, "testdata", detreach.Analyzer, "impuredep", "internal/app", "internal/snapfork")
+	linttest.Run(t, "testdata", detreach.Analyzer,
+		"impuredep", "internal/app", "internal/snapfork",
+		// direct rule
+		"internal/bad", "internal/good", "outside",
+		// strict rule
+		"internal/obs/bad", "internal/obs/good",
+		"internal/energy/bad", "internal/energy/good",
+		"internal/snapshot/bad", "internal/snapshot/good",
+		"obsoutside", "repro/internal/observe",
+		// maporder rule
+		"mo", "mogood")
 }

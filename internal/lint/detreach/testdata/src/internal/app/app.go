@@ -30,7 +30,7 @@ func Trusted() {
 // depends on the runtime's map hash seed.
 func FreezeOrder(m map[int]int) []int {
 	out := make([]int, 0, len(m))
-	for k := range m {
+	for k := range m { // want `map keys collected into a slice that is never sorted`
 		out = append(out, k)
 	}
 	return out

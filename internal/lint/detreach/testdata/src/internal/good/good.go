@@ -16,11 +16,11 @@ const tick = time.Millisecond
 
 // WallClock demonstrates the escape hatch for a sanctioned exception.
 func WallClock() int64 {
-	return time.Now().UnixNano() //lint:allow nodeterminism CLI progress meter only
+	return time.Now().UnixNano() //lint:allow detreach CLI progress meter only
 }
 
 // WallClockAbove demonstrates the directive on its own line.
 func WallClockAbove() time.Time {
-	//lint:allow nodeterminism CLI progress meter only
+	//lint:allow detreach CLI progress meter only
 	return time.Now()
 }

@@ -33,7 +33,7 @@ func (r *registry) Sorted() []string {
 // A reasoned directive accepts a genuinely order-independent fold.
 func (r *registry) Sum() int {
 	total := 0
-	for _, v := range r.byName { //lint:allow obsdeterminism commutative sum, never exported
+	for _, v := range r.byName { //lint:allow detreach commutative sum, never exported
 		total += v
 	}
 	return total

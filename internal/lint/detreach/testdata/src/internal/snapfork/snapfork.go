@@ -17,7 +17,7 @@ type table struct {
 // slice: two forks of the same table disagree on iteration order.
 func cloneFrozen(t *table) *table {
 	out := &table{entries: make(map[uint64]uint64, len(t.entries))}
-	for k, v := range t.entries {
+	for k, v := range t.entries { // want `map keys collected into a slice that is never sorted`
 		out.entries[k] = v
 		out.order = append(out.order, k)
 	}

@@ -56,7 +56,7 @@ func Checksum(m map[uint64]uint64) uint64 {
 // DebugDump accepts order instability explicitly.
 func DebugDump(m map[string]int) []string {
 	var out []string
-	for k, v := range m { //lint:allow maporder debug dump, order never asserted
+	for k, v := range m { //lint:allow detreach debug dump, order never asserted
 		out = append(out, fmt.Sprintf("%s=%d", k, v))
 	}
 	return out

@@ -81,14 +81,9 @@ func (sc Scenario) withDefaults() Scenario {
 
 // window resolves the hold-up budget.
 func (sc Scenario) window() (power.PSU, sim.Duration, error) {
-	var psu power.PSU
-	switch sc.PSU {
-	case "atx":
-		psu = power.ATX()
-	case "server":
-		psu = power.Server()
-	default:
-		return psu, 0, fmt.Errorf("drive: unknown PSU %q (want atx or server)", sc.PSU)
+	psu, err := power.LookupPSU(sc.PSU)
+	if err != nil {
+		return psu, 0, fmt.Errorf("drive: %w", err)
 	}
 	w := sim.Duration(psu.SpecHoldUp)
 	if sc.Holdup > 0 {

@@ -8,7 +8,7 @@
 //   - Sim time only. Events and histogram samples are keyed to sim.Time /
 //     sim.Duration — never the wall clock — so an enabled tracer is exactly
 //     as reproducible as the simulation itself: same seed, same bytes. The
-//     obsdeterminism analyzer (cmd/lightpc-lint) enforces this statically,
+//     detreach analyzer (cmd/lightpc-lint) enforces this statically,
 //     along with a ban on map-order iteration in the exporters.
 //
 //   - Zero cost when disabled. The nil *Tracer and nil *Registry are the

@@ -41,36 +41,6 @@ func TestEnergyJ(t *testing.T) {
 	}
 }
 
-func TestMeterIntegration(t *testing.T) {
-	m := NewMeter(Default())
-	m.RecordWatts(0, 100*sim.Millisecond, 10, "a") // 1 J
-	m.RecordWatts(0, 100*sim.Millisecond, 20, "b") // 2 J
-	if got := m.EnergyJ(); got < 2.99 || got > 3.01 {
-		t.Fatalf("EnergyJ = %v", got)
-	}
-	if got := m.AvgWatts(); got < 14.9 || got > 15.1 {
-		t.Fatalf("AvgWatts = %v", got)
-	}
-	if len(m.Samples()) != 2 {
-		t.Fatal("samples lost")
-	}
-}
-
-func TestMeterRecordState(t *testing.T) {
-	m := NewMeter(Default())
-	m.Record(0, sim.Second, LightPCBusy(), "busy")
-	if m.EnergyJ() < 4.5 || m.EnergyJ() > 6.0 {
-		t.Fatalf("1 s of LightPC busy = %v J", m.EnergyJ())
-	}
-}
-
-func TestMeterEmptyAvg(t *testing.T) {
-	m := NewMeter(Default())
-	if m.AvgWatts() != 0 {
-		t.Fatal("empty meter AvgWatts != 0")
-	}
-}
-
 func TestPSUHoldUpMatchesMeasurement(t *testing.T) {
 	// Figure 8a: ATX 22 ms, Server 55 ms at full (18.9 W) load.
 	atx := ATX().HoldUp(18.9)
