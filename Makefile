@@ -70,8 +70,6 @@ perfdiff: | $(BIN)
 # line tables and the crash-cut engine (the checked-in corpora also replay
 # as plain seeds in `make test`).
 fuzz-smoke:
-	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
-	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s

@@ -12,7 +12,8 @@
 //	lightpc-crash -mode enum -target all           # word-granular enumeration
 //
 // All output is deterministic: same flags, same bytes (sweep included, at
-// any -j). The exit status is 1 when any invariant is violated.
+// any -j). The exit status is 1 when any invariant is violated and 2 when a
+// flag value is invalid.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,6 +34,13 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// usagef reports an invalid flag value and exits 2, the flag package's
+// status for a usage error, so it cannot be mistaken for a violation.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "lightpc-crash: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func parseSeeds(s string) []uint64 {
 	var out []uint64
 	for _, f := range strings.Split(s, ",") {
@@ -41,12 +50,12 @@ func parseSeeds(s string) []uint64 {
 		}
 		v, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
-			fatalf("bad seed %q: %v", f, err)
+			usagef("bad seed %q: %v", f, err)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fatalf("no seeds in %q", s)
+		usagef("no seeds in %q", s)
 	}
 	return out
 }
@@ -84,13 +93,30 @@ func main() {
 		ticks   = flag.Int("ticks", 6, "scheduler ticks before the power event")
 		appOps  = flag.Int("appops", 96, "application persistence operations staged before the cut")
 		holdup  = flag.Duration("holdup", 0, "hold-up window (0 = ATX spec 16ms)")
-		offset  = flag.Duration("offset", 0, "cut offset into the Stop sequence (cut mode)")
+		offset  = flag.Duration("offset", 0, "cut offset into the Stop sequence (cut mode; 0 = the full window)")
 		cuts    = flag.Int("cuts", 8, "fuzzed cut offsets per cell on top of the stratified grid (sweep mode)")
 		jobs    = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
 		target  = flag.String("target", "all", "enum targets: pool,ckpt,hibernate,journal or all")
 		quiet   = flag.Bool("q", false, "suppress the JSON report; only the verdict line")
 	)
 	flag.Parse()
+
+	if !slices.Contains([]string{"cut", "bisect", "sweep", "enum"}, *mode) {
+		usagef("unknown -mode %q (want cut, bisect, sweep or enum)", *mode)
+	}
+	if *offset < 0 {
+		usagef("negative -offset %v (0 means the full window)", *offset)
+	}
+	targets := map[string]bool{}
+	for _, tg := range parseList(*target) {
+		if !slices.Contains([]string{"pool", "ckpt", "hibernate", "journal", "all"}, tg) {
+			usagef("unknown -target %q (want pool, ckpt, hibernate, journal or all)", tg)
+		}
+		targets[tg] = true
+	}
+	if len(targets) == 0 {
+		usagef("no enum targets in %q", *target)
+	}
 
 	sc := crashpoint.Scenario{
 		Seed:        *seed,
@@ -112,7 +138,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		off := sim.Duration(offset.Nanoseconds()) * sim.Nanosecond
-		if off <= 0 {
+		if off == 0 {
 			off = s.Window
 		}
 		out := s.CutAt(off)
@@ -150,10 +176,6 @@ func main() {
 		fmt.Printf("%d cells, %d cuts, %d violations\n",
 			len(rep.Cells), rep.TotalCuts, rep.TotalViolations)
 	case "enum":
-		targets := map[string]bool{}
-		for _, tg := range parseList(*target) {
-			targets[tg] = true
-		}
 		all := targets["all"]
 		var found []crashpoint.Violation
 		run := func(name string, fn func() []crashpoint.Violation) {
@@ -172,8 +194,6 @@ func main() {
 		if !*quiet && len(found) > 0 {
 			emit(found)
 		}
-	default:
-		fatalf("unknown mode %q", *mode)
 	}
 
 	if violations > 0 {

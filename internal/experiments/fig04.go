@@ -7,6 +7,7 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/pmdk"
 	"repro/internal/pmemdimm"
+	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -57,9 +58,10 @@ type Fig04Row struct {
 }
 
 // memorySubsystem describes one mode's memory components for the power
-// model: DRAM DIMMs working vs refresh-only, the controller complex, and
-// the PMEM DIMM's utilization-dependent draw (Optane-class modules draw
-// ~3 W idle up to ~15 W busy).
+// model: DRAM DIMMs working (power.Params' calibration, shared with Fig 18)
+// vs refresh-only, the controller complex, and the PMEM DIMM's
+// utilization-dependent draw (Optane-class modules draw ~3 W idle up to
+// ~15 W busy).
 type memorySubsystem struct {
 	dramWorking bool
 	pmemPresent bool
@@ -67,9 +69,10 @@ type memorySubsystem struct {
 }
 
 func (m memorySubsystem) watts() float64 {
-	w := 2.1 // controller complex
+	p := power.Default()
+	w := p.DRAMCtrlW
 	if m.dramWorking {
-		w += 6 * 2.2
+		w += 6 * p.DRAMDIMMW
 	} else {
 		w += 6 * 0.8 // refresh-only DRAM
 	}

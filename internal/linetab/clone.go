@@ -33,15 +33,6 @@ func (c *Counters) Clone() *Counters {
 	}
 }
 
-// Clone returns a deep copy sharing no state with t.
-func (t *Table) Clone() *Table {
-	if t == nil {
-		return nil
-	}
-	out := t.cloneValue()
-	return &out
-}
-
 // cloneValue deep-copies a Table held by value (the Slab embeds one).
 func (t *Table) cloneValue() Table {
 	return Table{

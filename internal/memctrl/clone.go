@@ -15,18 +15,3 @@ func (c *DRAMController) Clone() *DRAMController {
 	}
 	return out
 }
-
-// Clone returns a deep copy of the memory-mode cache over freshly cloned
-// DRAM and PMEM sides.
-func (n *NMEM) Clone() *NMEM {
-	return &NMEM{
-		dram:       n.dram.Clone(),
-		pmem:       n.pmem.Clone(),
-		blockBits:  n.blockBits,
-		lines:      n.lines.Clone(),
-		sets:       n.sets,
-		hits:       n.hits,
-		misses:     n.misses,
-		writebacks: n.writebacks,
-	}
-}

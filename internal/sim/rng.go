@@ -75,18 +75,6 @@ func (r *RNG) Float64() float64 {
 //lightpc:zeroalloc
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Exp returns an exponentially distributed duration with the given mean.
-//
-//lightpc:zeroalloc
-func (r *RNG) Exp(mean Duration) Duration {
-	u := r.Float64()
-	// Avoid log(0).
-	if u >= 0.999999999 {
-		u = 0.999999999
-	}
-	return Duration(float64(mean) * -math.Log(1-u))
-}
-
 // Norm returns a normally distributed value with the given mean and standard
 // deviation (Box–Muller, one value per call for simplicity).
 //
@@ -99,13 +87,6 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	}
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
-}
-
-// Fork derives an independent RNG stream labeled by id. Distinct ids yield
-// decorrelated streams even under the same parent seed. Fork advances the
-// parent; when the derivation must not depend on call order, use Split.
-func (r *RNG) Fork(id uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (id * 0x9e3779b97f4a7c15))
 }
 
 // SubSeed derives a decorrelated child seed from a parent seed and a label
@@ -133,12 +114,4 @@ func SubSeed(seed uint64, label string) uint64 {
 // streams; the same label always yields the same stream.
 func (r *RNG) Split(label string) *RNG {
 	return NewRNG(SubSeed(r.s[0]^rotl(r.s[2], 19), label))
-}
-
-// Shuffle permutes the first n indices using swap, Fisher–Yates.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
