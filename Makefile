@@ -2,7 +2,7 @@ GO ?= go
 BIN := bin
 LINT := $(BIN)/lightpc-lint
 
-.PHONY: all build test race race-parallel vet lint bench bench-json profile perfdiff fuzz-smoke obs-smoke energy-smoke crash-smoke ci clean
+.PHONY: all build test equivalence race race-parallel vet lint bench bench-json profile perfdiff fuzz-smoke obs-smoke energy-smoke crash-smoke ci clean
 
 all: build
 
@@ -11,6 +11,14 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# equivalence: the serial/parallel equivalence checks, uncached and
+# verbose so the log shows each comparison — the experiment suite at
+# several -j, the metered obs sweep at several -j, and the worker pool.
+equivalence:
+	$(GO) test ./internal/experiments -run TestSerialParallelEquivalence -count=1 -v
+	$(GO) test ./internal/obs/drive -run TestSweepEnergyParallelismInvariant -count=1 -v
+	$(GO) test ./internal/runner -count=1
 
 race:
 	$(GO) test -race ./...
@@ -68,13 +76,16 @@ perfdiff: | $(BIN)
 
 # fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
 # line tables and the crash-cut engine (the checked-in corpora also replay
-# as plain seeds in `make test`).
+# as plain seeds in `make test`). FUZZTIME sets each target's budget; CI
+# runs it with FUZZTIME=10s.
+FUZZTIME ?= 2s
+
 fuzz-smoke:
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
-	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
-	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
-	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)
 
 # obs-smoke: run one instrumented SnG scenario and a 4-seed sweep through
 # lightpc-obs, then re-validate every artifact with the built-in schema
@@ -115,7 +126,7 @@ crash-smoke: | $(BIN)
 	$(BIN)/lightpc-crash -mode sweep -workloads Redis -seeds 1 -cuts 4 -j 0 -q && \
 	echo "crash-smoke: all recovery invariants hold in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
-ci: build vet lint test race race-parallel fuzz-smoke obs-smoke energy-smoke crash-smoke
+ci: build vet lint test equivalence race race-parallel fuzz-smoke obs-smoke energy-smoke crash-smoke
 
 clean:
 	rm -rf $(BIN)

@@ -107,6 +107,23 @@ func main() {
 	if *offset < 0 {
 		usagef("negative -offset %v (0 means the full window)", *offset)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"cores", *cores}, {"user", *user}, {"kernelprocs", *kprocs},
+		{"devices", *devices}, {"ticks", *ticks}, {"appops", *appOps},
+	} {
+		if f.v < 1 {
+			usagef("-%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	if *cuts < 0 {
+		usagef("negative -cuts %d", *cuts)
+	}
+	if *holdup < 0 {
+		usagef("negative -holdup %v (0 means the ATX spec 16ms)", *holdup)
+	}
 	targets := map[string]bool{}
 	for _, tg := range parseList(*target) {
 		if !slices.Contains([]string{"pool", "ckpt", "hibernate", "journal", "all"}, tg) {

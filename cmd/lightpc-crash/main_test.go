@@ -24,8 +24,8 @@ func buildCrash(t *testing.T) string {
 }
 
 // TestBadFlagsRejected pins that flag values the adversary would otherwise
-// ignore — an unknown enum target, a negative cut offset, an unknown mode —
-// exit 2 with a diagnostic before anything is built, instead of reporting
+// ignore — an unknown enum target, a negative cut offset, an unknown mode,
+// a system size below 1, a negative cut count or hold-up — exit 2 with a diagnostic before anything is built, instead of reporting
 // OK (or exiting 1, the status of a violated invariant).
 func TestBadFlagsRejected(t *testing.T) {
 	bin := buildCrash(t)
@@ -38,6 +38,14 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-mode", "cut", "-offset", "-5ms"}, "negative -offset -5ms"},
 		{[]string{"-mode", "nosuch"}, `unknown -mode "nosuch"`},
 		{[]string{"-mode", "sweep", "-seeds", "x"}, `bad seed "x"`},
+		{[]string{"-cores", "0", "-user", "-3"}, "-cores 0: want at least 1"},
+		{[]string{"-user", "-3"}, "-user -3: want at least 1"},
+		{[]string{"-kernelprocs", "0"}, "-kernelprocs 0: want at least 1"},
+		{[]string{"-devices", "-5"}, "-devices -5: want at least 1"},
+		{[]string{"-ticks", "0"}, "-ticks 0: want at least 1"},
+		{[]string{"-mode", "sweep", "-appops", "-1"}, "-appops -1: want at least 1"},
+		{[]string{"-mode", "sweep", "-cuts", "-2"}, "negative -cuts -2"},
+		{[]string{"-holdup", "-1ms"}, "negative -holdup -1ms"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, tc.args...)

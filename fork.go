@@ -63,7 +63,9 @@ func (p *Platform) Fork() *Platform {
 // forkBytes approximates the mutable state one fork duplicates — the
 // dominant arenas, counted without walking them: bank words (key+value
 // pairs), PCBs, and the data store's line content. An observability
-// estimate, not an exact allocator tally.
+// estimate, not an exact allocator tally. The bank term stays at 16 B per
+// word although banks now copy whole 16-word pages, so fork_bytes and
+// every artifact that reports it keep their values.
 func (p *Platform) forkBytes() uint64 {
 	var n uint64
 	n += 16 * uint64(p.kern.OCPMEM.Len())

@@ -133,3 +133,30 @@ func TestCutOutcomeDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic outcomes:\n%s\n%s", a, b)
 	}
 }
+
+// TestBuildRejectsNegativeSizes pins that a negative scenario size is an
+// error rather than being mapped to a default, while zero still selects
+// the default.
+func TestBuildRejectsNegativeSizes(t *testing.T) {
+	for name, mut := range map[string]func(*Scenario){
+		"Cores":        func(sc *Scenario) { sc.Cores = -1 },
+		"UserProcs":    func(sc *Scenario) { sc.UserProcs = -3 },
+		"KernelProcs":  func(sc *Scenario) { sc.KernelProcs = -1 },
+		"Devices":      func(sc *Scenario) { sc.Devices = -5 },
+		"Ticks":        func(sc *Scenario) { sc.Ticks = -1 },
+		"AppOps":       func(sc *Scenario) { sc.AppOps = -1 },
+		"OpsPerCommit": func(sc *Scenario) { sc.OpsPerCommit = -2 },
+		"Holdup":       func(sc *Scenario) { sc.Holdup = -sim.Millisecond },
+	} {
+		sc := tinyScenario(1)
+		mut(&sc)
+		if _, err := Build(sc); err == nil {
+			t.Errorf("negative %s: Build succeeded, want an error", name)
+		}
+	}
+	sc := tinyScenario(1)
+	sc.Cores, sc.Ticks, sc.OpsPerCommit, sc.Holdup = 0, 0, 0, 0
+	if _, err := Build(sc); err != nil {
+		t.Fatalf("zero sizes must select the defaults: %v", err)
+	}
+}

@@ -52,6 +52,29 @@ type Scenario struct {
 	Holdup sim.Duration
 }
 
+// validate rejects negative sizes, which withDefaults would otherwise
+// silently replace. Zero still selects the default.
+func (sc Scenario) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Cores", int64(sc.Cores)},
+		{"UserProcs", int64(sc.UserProcs)},
+		{"KernelProcs", int64(sc.KernelProcs)},
+		{"Devices", int64(sc.Devices)},
+		{"Ticks", int64(sc.Ticks)},
+		{"AppOps", int64(sc.AppOps)},
+		{"OpsPerCommit", int64(sc.OpsPerCommit)},
+		{"Holdup", int64(sc.Holdup)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("crashpoint: negative Scenario.%s %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // withDefaults fills zero values with a modest busy system (smaller than
 // the paper's 8/72/48/250 default so cut searches rebuild quickly).
 func (sc Scenario) withDefaults() Scenario {
@@ -143,7 +166,11 @@ type System struct {
 // application phase that leaves both committed state and adversarial
 // residue (staged puts, an open transaction, dirty checkpoint variables, a
 // half-migrated checkpoint), then scheduler aging and the pre-cut capture.
+// A negative size in sc is an error; zero selects the default.
 func Build(sc Scenario) (*System, error) {
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
 	sc = sc.withDefaults()
 	spec, ok := workload.ByName(sc.Workload)
 	if !ok {

@@ -25,7 +25,7 @@ func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, Device{},
 		"Name", "Index", "PrepareCost", "SuspendCost", "NoIrqCost",
 		"ResumeCost", "State", "Context", "Peripheral", "MMIO", "dcbAddr")
-	snapshot.CheckCovered(t, Bank{}, "name", "persistent", "words", "observer")
+	snapshot.CheckCovered(t, Bank{}, "name", "persistent", "dir", "pages", "n", "hint", "observer")
 	snapshot.CheckCovered(t, Bootloader{}, "ocpmem")
 }
 

@@ -70,9 +70,11 @@ var stdlibAllowed = map[string]bool{
 // required registers the pinned hot set per package (keyed by the import
 // path's last element, values "Func" or "Type.Method"): every function the
 // seed benchmarks hold at 0 allocs/op, plus the write paths those
-// benchmarks exercise transitively. A registered function missing the
-// annotation is reported, so deleting an annotation (or renaming a hot
-// function) cannot silently drop the static contract.
+// benchmarks exercise transitively, plus kernel's Bank.Read (pinned at
+// run time by TestBankReadZeroAlloc; the seed does not bench kernel). A
+// registered function missing the annotation is reported, so deleting an
+// annotation (or renaming a hot function) cannot silently drop the static
+// contract.
 var required = map[string][]string{
 	"sim": {"Counter.Inc", "Histogram.Add", "bucketOf"},
 	"cpu": {"interleaver.run"},
@@ -93,6 +95,7 @@ var required = map[string][]string{
 	"nvdimm":   {"DIMM.ReadLine", "DIMM.WriteLine", "DIMM.LineBusy"},
 	"dram":     {"DIMM.Read", "DIMM.Write"},
 	"pmemdimm": {"DIMM.Read", "DIMM.Write"},
+	"kernel":   {"Bank.Read"},
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
