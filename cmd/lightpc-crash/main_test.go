@@ -3,11 +3,15 @@ package main_test
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden outputs under testdata/")
 
 // buildCrash compiles lightpc-crash into a temporary directory.
 func buildCrash(t *testing.T) string {
@@ -21,6 +25,50 @@ func buildCrash(t *testing.T) string {
 		t.Fatalf("building lightpc-crash: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// golden compares got with testdata/name, or rewrites it under -update.
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s changed (%d bytes, golden %d)", name, len(got), len(want))
+	}
+}
+
+// TestGoldenOutputs pins the JSON reports and verdict lines byte for byte
+// at the cut system: one full-window cut, the commit-instant bisection,
+// and the crash-smoke sweep cell. Regenerate intentionally with
+//
+//	go test ./cmd/lightpc-crash -run Golden -update
+func TestGoldenOutputs(t *testing.T) {
+	bin := buildCrash(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"cut", []string{"-mode", "cut"}},
+		{"bisect", []string{"-mode", "bisect"}},
+		{"sweep", []string{"-mode", "sweep", "-workloads", "Redis", "-seeds", "1", "-cuts", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).Output()
+			if err != nil {
+				t.Fatalf("%v: %v", tc.args, err)
+			}
+			golden(t, tc.name+".golden", out)
+		})
+	}
 }
 
 // TestBadFlagsRejected pins that flag values the adversary would otherwise

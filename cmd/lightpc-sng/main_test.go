@@ -3,11 +3,15 @@ package main_test
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden outputs under testdata/")
 
 // buildSnG compiles lightpc-sng into a temporary directory.
 func buildSnG(t *testing.T) string {
@@ -23,23 +27,82 @@ func buildSnG(t *testing.T) string {
 	return bin
 }
 
+// run executes bin with args and returns its stdout, stderr and exit
+// status.
+func run(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var o, e bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("%v: %v", args, err)
+	}
+	return o.String(), e.String(), code
+}
+
+// golden compares got with testdata/name, or rewrites it under -update.
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s changed:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
+// TestGoldenOutputs pins the command's stdout and exit status byte for
+// byte at the paper system, the server PSU, and a starved window that
+// tears the stop. Regenerate intentionally with
+//
+//	go test ./cmd/lightpc-sng -run Golden -update
+func TestGoldenOutputs(t *testing.T) {
+	bin := buildSnG(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"default", nil, 0},
+		{"psu-server", []string{"-psu", "server"}, 0},
+		{"holdup-2ms", []string{"-holdup", "2ms"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, stderr, code := run(t, bin, tc.args...)
+			if code != tc.code {
+				t.Fatalf("%v: exit %d, want %d\n%s", tc.args, code, tc.code, stderr)
+			}
+			golden(t, tc.name+".golden", []byte(got))
+		})
+	}
+}
+
 // TestUnknownPSURejected pins that an unsupported -psu exits 2 with a
 // diagnostic before simulating anything, instead of falling back to ATX.
 func TestUnknownPSURejected(t *testing.T) {
 	bin := buildSnG(t)
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-psu", "xyz")
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("-psu xyz: err = %v, want exit status 2", err)
+	stdout, stderr, code := run(t, bin, "-psu", "xyz")
+	if code != 2 {
+		t.Fatalf("-psu xyz: exit %d, want 2", code)
 	}
-	if stdout.Len() != 0 {
-		t.Errorf("-psu xyz printed output:\n%s", stdout.String())
+	if stdout != "" {
+		t.Errorf("-psu xyz printed output:\n%s", stdout)
 	}
-	if msg := stderr.String(); !strings.Contains(msg, `unknown PSU "xyz"`) {
-		t.Errorf("stderr = %q, want an unknown PSU diagnostic", msg)
+	if !strings.Contains(stderr, `unknown PSU "xyz"`) {
+		t.Errorf("stderr = %q, want an unknown PSU diagnostic", stderr)
 	}
 
 	for _, p := range []string{"atx", "server"} {
