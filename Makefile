@@ -87,7 +87,8 @@ fuzz-smoke:
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)
 
-# obs-smoke: run one instrumented SnG scenario and a 4-seed sweep through
+# obs-smoke: run one instrumented SnG scenario, a 4-seed sweep, and one
+# scenario on each of the LegacyPC and LightPC-B platforms through
 # lightpc-obs, then re-validate every artifact with the built-in schema
 # validators (Chrome trace-event JSON, Prometheus text 0.0.4).
 obs-smoke: | $(BIN)
@@ -98,6 +99,12 @@ obs-smoke: | $(BIN)
 	$(BIN)/lightpc-obs -q -mode sweep -seeds 1,2,3,4 -j 4 \
 		-trace $(BIN)/obs-sweep.json -metrics $(BIN)/obs-sweep.prom
 	$(BIN)/lightpc-obs -check-trace $(BIN)/obs-sweep.json -check-prom $(BIN)/obs-sweep.prom
+	$(BIN)/lightpc-obs -q -platform legacy -workload Redis \
+		-trace $(BIN)/obs-legacy.json -metrics $(BIN)/obs-legacy.prom
+	$(BIN)/lightpc-obs -check-trace $(BIN)/obs-legacy.json -check-prom $(BIN)/obs-legacy.prom
+	$(BIN)/lightpc-obs -q -platform b -workload Redis \
+		-trace $(BIN)/obs-b.json -metrics $(BIN)/obs-b.prom
+	$(BIN)/lightpc-obs -check-trace $(BIN)/obs-b.json -check-prom $(BIN)/obs-b.prom
 
 # energy-smoke: run one metered power cycle (energy mode prints the
 # per-phase joule attribution and the hold-up feasibility verdict) plus a

@@ -80,25 +80,26 @@ func emit(v any) {
 }
 
 func main() {
+	sc := crashpoint.CutSystem()
 	var (
-		mode    = flag.String("mode", "cut", "cut | bisect | sweep | enum")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		seeds   = flag.String("seeds", "1", "comma-separated seeds (sweep mode)")
-		wl      = flag.String("workload", "Redis", "Table II workload driving the application phase")
-		wls     = flag.String("workloads", "Redis,SQLite", "comma-separated workloads (sweep mode)")
-		cores   = flag.Int("cores", 4, "core count")
-		user    = flag.Int("user", 24, "user processes")
-		kprocs  = flag.Int("kernelprocs", 16, "kernel threads")
-		devices = flag.Int("devices", 64, "dpm_list length")
-		ticks   = flag.Int("ticks", 6, "scheduler ticks before the power event")
-		appOps  = flag.Int("appops", 96, "application persistence operations staged before the cut")
-		holdup  = flag.Duration("holdup", 0, "hold-up window (0 = ATX spec 16ms)")
-		offset  = flag.Duration("offset", 0, "cut offset into the Stop sequence (cut mode; 0 = the full window)")
-		cuts    = flag.Int("cuts", 8, "fuzzed cut offsets per cell on top of the stratified grid (sweep mode)")
-		jobs    = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
-		target  = flag.String("target", "all", "enum targets: pool,ckpt,hibernate,journal or all")
-		quiet   = flag.Bool("q", false, "suppress the JSON report; only the verdict line")
+		mode   = flag.String("mode", "cut", "cut | bisect | sweep | enum")
+		seeds  = flag.String("seeds", "1", "comma-separated seeds (sweep mode)")
+		wls    = flag.String("workloads", "Redis,SQLite", "comma-separated workloads (sweep mode)")
+		holdup = flag.Duration("holdup", 0, "hold-up window (0 = ATX spec 16ms)")
+		offset = flag.Duration("offset", 0, "cut offset into the Stop sequence (cut mode; 0 = the full window)")
+		cuts   = flag.Int("cuts", 8, "fuzzed cut offsets per cell on top of the stratified grid (sweep mode; 0 = grid only)")
+		jobs   = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
+		target = flag.String("target", "all", "enum targets: pool,ckpt,hibernate,journal or all")
+		quiet  = flag.Bool("q", false, "suppress the JSON report; only the verdict line")
 	)
+	flag.Uint64Var(&sc.Seed, "seed", sc.Seed, "simulation seed")
+	flag.StringVar(&sc.Workload, "workload", sc.Workload, "Table II workload driving the application phase")
+	flag.IntVar(&sc.Cores, "cores", sc.Cores, "core count")
+	flag.IntVar(&sc.UserProcs, "user", sc.UserProcs, "user processes")
+	flag.IntVar(&sc.KernelProcs, "kernelprocs", sc.KernelProcs, "kernel threads")
+	flag.IntVar(&sc.Devices, "devices", sc.Devices, "dpm_list length")
+	flag.IntVar(&sc.Ticks, "ticks", sc.Ticks, "scheduler ticks before the power event")
+	flag.IntVar(&sc.AppOps, "appops", sc.AppOps, "application persistence operations staged before the cut")
 	flag.Parse()
 
 	if !slices.Contains([]string{"cut", "bisect", "sweep", "enum"}, *mode) {
@@ -107,22 +108,20 @@ func main() {
 	if *offset < 0 {
 		usagef("negative -offset %v (0 means the full window)", *offset)
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"cores", *cores}, {"user", *user}, {"kernelprocs", *kprocs},
-		{"devices", *devices}, {"ticks", *ticks}, {"appops", *appOps},
-	} {
-		if f.v < 1 {
-			usagef("-%s %d: want at least 1", f.name, f.v)
-		}
-	}
 	if *cuts < 0 {
 		usagef("negative -cuts %d", *cuts)
 	}
-	if *holdup < 0 {
-		usagef("negative -holdup %v (0 means the ATX spec 16ms)", *holdup)
+	sc.Holdup = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond
+	if err := sc.Validate(); err != nil {
+		usagef("%v", err)
+	}
+	sweepWls := parseList(*wls)
+	for _, w := range sweepWls {
+		cell := sc
+		cell.Workload = w
+		if err := cell.Validate(); err != nil {
+			usagef("-workloads: %v", err)
+		}
 	}
 	targets := map[string]bool{}
 	for _, tg := range parseList(*target) {
@@ -133,18 +132,6 @@ func main() {
 	}
 	if len(targets) == 0 {
 		usagef("no enum targets in %q", *target)
-	}
-
-	sc := crashpoint.Scenario{
-		Seed:        *seed,
-		Cores:       *cores,
-		UserProcs:   *user,
-		KernelProcs: *kprocs,
-		Devices:     *devices,
-		Ticks:       *ticks,
-		Workload:    *wl,
-		AppOps:      *appOps,
-		Holdup:      sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond,
 	}
 
 	violations := 0
@@ -178,7 +165,7 @@ func main() {
 	case "sweep":
 		rep, err := crashpoint.Sweep(crashpoint.SweepConfig{
 			Base:        sc,
-			Workloads:   parseList(*wls),
+			Workloads:   sweepWls,
 			Seeds:       parseSeeds(*seeds),
 			CutsPerCell: *cuts,
 			Jobs:        *jobs,
@@ -203,10 +190,10 @@ func main() {
 			found = append(found, v...)
 			fmt.Printf("enum %s: %d violations\n", name, len(v))
 		}
-		run("pool", func() []crashpoint.Violation { return crashpoint.CheckPool(*seed, 6, 5) })
-		run("ckpt", func() []crashpoint.Violation { return crashpoint.CheckManager(*seed, 40) })
-		run("hibernate", func() []crashpoint.Violation { return crashpoint.CheckHibernate(*seed, 5) })
-		run("journal", func() []crashpoint.Violation { return crashpoint.CheckJournal(*seed, 30) })
+		run("pool", func() []crashpoint.Violation { return crashpoint.CheckPool(sc.Seed, 6, 5) })
+		run("ckpt", func() []crashpoint.Violation { return crashpoint.CheckManager(sc.Seed, 40) })
+		run("hibernate", func() []crashpoint.Violation { return crashpoint.CheckHibernate(sc.Seed, 5) })
+		run("journal", func() []crashpoint.Violation { return crashpoint.CheckJournal(sc.Seed, 30) })
 		violations = len(found)
 		if !*quiet && len(found) > 0 {
 			emit(found)

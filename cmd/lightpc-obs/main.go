@@ -18,10 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	lightpc "repro"
+	"repro/internal/crashpoint"
 	"repro/internal/obs"
 	"repro/internal/obs/drive"
 	"repro/internal/sim"
@@ -30,6 +32,13 @@ import (
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lightpc-obs: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports an invalid flag value and exits 2, the flag package's
+// status for a usage error.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "lightpc-obs: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func writeFile(path string, data []byte) {
@@ -51,32 +60,24 @@ func parseSeeds(s string) []uint64 {
 		}
 		v, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
-			fatalf("bad seed %q: %v", f, err)
+			usagef("bad seed %q: %v", f, err)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fatalf("no seeds in %q", s)
+		usagef("no seeds in %q", s)
 	}
 	return out
 }
 
 func main() {
+	sc := crashpoint.PaperSystem()
 	var (
 		mode     = flag.String("mode", "sng", "sng (one scenario) | sweep (one cell per seed) | energy (joule breakdown)")
 		platform = flag.String("platform", "full", "platform: legacy | b | full")
-		seed     = flag.Uint64("seed", 1, "simulation seed (sng mode)")
 		seeds    = flag.String("seeds", "1,2,3,4", "comma-separated seeds (sweep mode)")
 		jobs     = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
-		cores    = flag.Int("cores", 8, "core count")
-		user     = flag.Int("user", 72, "user processes")
-		kprocs   = flag.Int("kernelprocs", 48, "kernel threads")
-		devices  = flag.Int("devices", 250, "dpm_list length")
-		ticks    = flag.Int("ticks", 20, "scheduler ticks before the power event")
-		wl       = flag.String("workload", "", "Table II workload to run first (empty = none)")
-		psu      = flag.String("psu", "atx", "psu: atx | server")
 		holdup   = flag.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
-		energyOn = flag.Bool("energy", false, "attach per-device joule meters (implied by -mode energy)")
 
 		traceOut = flag.String("trace", "", "write Chrome trace-event JSON here")
 		promOut  = flag.String("metrics", "", "write Prometheus text snapshot here")
@@ -86,6 +87,15 @@ func main() {
 		checkTrace = flag.String("check-trace", "", "validate a Chrome trace JSON file and exit")
 		checkProm  = flag.String("check-prom", "", "validate a Prometheus text file and exit")
 	)
+	flag.Uint64Var(&sc.Seed, "seed", sc.Seed, "simulation seed (sng mode)")
+	flag.IntVar(&sc.Cores, "cores", sc.Cores, "core count")
+	flag.IntVar(&sc.UserProcs, "user", sc.UserProcs, "user processes")
+	flag.IntVar(&sc.KernelProcs, "kernelprocs", sc.KernelProcs, "kernel threads")
+	flag.IntVar(&sc.Devices, "devices", sc.Devices, "dpm_list length")
+	flag.IntVar(&sc.Ticks, "ticks", sc.Ticks, "scheduler ticks before the power event")
+	flag.StringVar(&sc.Workload, "workload", sc.Workload, "Table II workload to run first (empty = none)")
+	flag.StringVar(&sc.PSU, "psu", sc.PSU, "psu: atx | server")
+	flag.BoolVar(&sc.Energy, "energy", sc.Energy, "attach per-device joule meters (implied by -mode energy)")
 	flag.Parse()
 
 	if *checkTrace != "" || *checkProm != "" {
@@ -93,39 +103,36 @@ func main() {
 		return
 	}
 
-	var kind lightpc.Kind
 	switch *platform {
 	case "legacy":
-		kind = lightpc.LegacyPC
+		sc.Kind = lightpc.LegacyPC
 	case "b":
-		kind = lightpc.LightPCB
+		sc.Kind = lightpc.LightPCB
 	case "full":
-		kind = lightpc.LightPCFull
+		sc.Kind = lightpc.LightPCFull
 	default:
-		fatalf("unknown platform %q (want legacy, b, or full)", *platform)
+		usagef("unknown platform %q (want legacy, b, or full)", *platform)
 	}
-
-	sc := drive.Scenario{
-		Kind:        kind,
-		Seed:        *seed,
-		Cores:       *cores,
-		UserProcs:   *user,
-		KernelProcs: *kprocs,
-		Devices:     *devices,
-		Ticks:       *ticks,
-		Workload:    *wl,
-		PSU:         *psu,
-		Holdup:      sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond,
-		Energy:      *energyOn || *mode == "energy",
+	if !slices.Contains([]string{"sng", "sweep", "energy"}, *mode) {
+		usagef("unknown mode %q (want sng, sweep, or energy)", *mode)
+	}
+	seedList := parseSeeds(*seeds)
+	sc.Holdup = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond
+	sc.Energy = sc.Energy || *mode == "energy"
+	if err := sc.Validate(); err != nil {
+		usagef("%v", err)
 	}
 
 	switch *mode {
-	case "sng":
+	case "sng", "energy":
 		res, err := drive.SnG(sc)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if !*quiet {
+		switch {
+		case *mode == "energy":
+			fmt.Print(res.EnergyTable())
+		case !*quiet:
 			fmt.Print(res.PhaseTable())
 			if sc.Energy {
 				fmt.Print(res.EnergyTable())
@@ -134,17 +141,8 @@ func main() {
 		writeFile(*traceOut, res.ChromeTrace())
 		writeFile(*promOut, res.Registry.PrometheusBytes())
 		writeFile(*jsonOut, res.Registry.JSONBytes())
-	case "energy":
-		res, err := drive.SnG(sc)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(res.EnergyTable())
-		writeFile(*traceOut, res.ChromeTrace())
-		writeFile(*promOut, res.Registry.PrometheusBytes())
-		writeFile(*jsonOut, res.Registry.JSONBytes())
 	case "sweep":
-		sw, err := drive.Sweep(sc, parseSeeds(*seeds), *jobs)
+		sw, err := drive.Sweep(sc, seedList, *jobs)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -156,8 +154,6 @@ func main() {
 		}
 		writeFile(*traceOut, sw.ChromeTrace())
 		writeFile(*promOut, sw.Prometheus())
-	default:
-		fatalf("unknown mode %q (want sng, sweep, or energy)", *mode)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -101,5 +102,61 @@ func TestGoldenOutputs(t *testing.T) {
 				golden(t, f, got)
 			}
 		})
+	}
+}
+
+// TestBadFlagsRejected pins that every invalid flag value — an unknown
+// platform, mode, PSU or workload, a malformed seed list, a system size
+// below 1, a negative hold-up — exits 2 with a diagnostic before anything
+// is built, instead of being normalised into a plausible run.
+func TestBadFlagsRejected(t *testing.T) {
+	bin := buildObs(t)
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-platform", "nosuch"}, `unknown platform "nosuch"`},
+		{[]string{"-mode", "nosuch"}, `unknown mode "nosuch"`},
+		{[]string{"-mode", "sweep", "-seeds", "x"}, `bad seed "x"`},
+		{[]string{"-mode", "sweep", "-seeds", ","}, "no seeds"},
+		{[]string{"-cores", "0"}, "Cores 0: want at least 1"},
+		{[]string{"-devices", "-5"}, "Devices -5: want at least 1"},
+		{[]string{"-ticks", "0"}, "Ticks 0: want at least 1"},
+		{[]string{"-holdup", "-1ms"}, "negative Holdup -1.000ms"},
+		{[]string{"-psu", "xyz"}, `unknown PSU "xyz"`},
+		{[]string{"-workload", "nosuch"}, `unknown workload "nosuch"`},
+	} {
+		stdout, stderr, code := run(t, bin, "", tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%v printed output:\n%s", tc.args, stdout)
+		}
+		if !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: stderr = %q, want %q", tc.args, stderr, tc.msg)
+		}
+	}
+}
+
+// TestSeedZeroIsASeed pins that seed 0 is simulated as given: a sweep
+// over seeds 0 and 1 yields two distinct cells, not seed 1 twice.
+func TestSeedZeroIsASeed(t *testing.T) {
+	bin := buildObs(t)
+	stdout, stderr, code := run(t, bin, t.TempDir(), "-mode", "sweep", "-seeds", "0,1")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	cells := strings.Split(stdout, "\n\n")
+	if len(cells) != 2 {
+		t.Fatalf("want 2 phase tables, got %d:\n%s", len(cells), stdout)
+	}
+	if !strings.Contains(cells[0], "seed 0 ==") || !strings.Contains(cells[1], "seed 1 ==") {
+		t.Errorf("cells are not seeds 0 and 1:\n%s", stdout)
+	}
+	_, timeline0, _ := strings.Cut(cells[0], "\n")
+	_, timeline1, _ := strings.Cut(cells[1], "\n")
+	if timeline0 == timeline1 {
+		t.Errorf("seed 0 and seed 1 produced the same timeline:\n%s", stdout)
 	}
 }

@@ -15,48 +15,38 @@ import (
 	"fmt"
 	"os"
 
+	lightpc "repro"
+	"repro/internal/crashpoint"
 	"repro/internal/kernel"
-	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/sng"
 )
 
 func main() {
-	var (
-		cores   = flag.Int("cores", 8, "core count")
-		user    = flag.Int("user", 72, "user processes")
-		kprocs  = flag.Int("kernelprocs", 48, "kernel threads")
-		devices = flag.Int("devices", 250, "dpm_list length")
-		psuName = flag.String("psu", "atx", "psu: atx | server")
-		holdup  = flag.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-	)
+	sc := crashpoint.PaperSystem()
+	flag.IntVar(&sc.Cores, "cores", sc.Cores, "core count")
+	flag.IntVar(&sc.UserProcs, "user", sc.UserProcs, "user processes")
+	flag.IntVar(&sc.KernelProcs, "kernelprocs", sc.KernelProcs, "kernel threads")
+	flag.IntVar(&sc.Devices, "devices", sc.Devices, "dpm_list length")
+	flag.StringVar(&sc.PSU, "psu", sc.PSU, "psu: atx | server")
+	holdup := flag.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
+	flag.Uint64Var(&sc.Seed, "seed", sc.Seed, "simulation seed")
 	flag.Parse()
-	psu, err := power.LookupPSU(*psuName)
-	if err != nil {
+	sc.Holdup = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond
+	if err := sc.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "lightpc-sng: %v\n", err)
 		os.Exit(2)
 	}
+	psu, window, _ := sc.Supply() // Validate resolved the PSU
 
-	cfg := kernel.DefaultConfig()
-	cfg.Cores = *cores
-	cfg.UserProcs = *user
-	cfg.KernelProcs = *kprocs
-	cfg.Devices = *devices
-	cfg.Seed = *seed
-	k := kernel.New(cfg)
-	k.Tick(20)
-
-	window := sim.Duration(psu.SpecHoldUp)
-	if *holdup > 0 {
-		window = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond
-	}
+	p := lightpc.New(sc.Config())
+	k := p.Kernel()
+	k.Tick(sc.Ticks)
 
 	fmt.Printf("system: %d cores, %d processes (%d sleeping), %d devices\n",
 		len(k.Cores), len(k.Procs), len(k.Sleepers()), len(k.Devices))
 	checksum := k.ProcsChecksum()
 
-	s := sng.New(k)
+	s := p.SnG()
 	fmt.Printf("\n-- power failure (hold-up window: %v, %s) --\n", window, psu.Name)
 	rep := s.Stop(0, sim.Time(window))
 	fmt.Printf("Drive-to-Idle: %-10v (%d sleepers woken, %d tasks parked)\n",
@@ -82,9 +72,9 @@ func main() {
 	fmt.Printf("recovery total: %v\n", grep.Total)
 
 	// Verify exact resumption.
-	for _, p := range k.Procs {
-		if p.State == kernel.TaskRunnable || p.State == kernel.TaskRunning {
-			p.RestoreContext()
+	for _, proc := range k.Procs {
+		if proc.State == kernel.TaskRunnable || proc.State == kernel.TaskRunning {
+			proc.RestoreContext()
 		}
 	}
 	if got := k.ProcsChecksum(); got == checksum {

@@ -90,19 +90,30 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestUnknownPSURejected pins that an unsupported -psu exits 2 with a
-// diagnostic before simulating anything, instead of falling back to ATX.
-func TestUnknownPSURejected(t *testing.T) {
+// TestBadFlagsRejected pins that an unsupported -psu, a system size below
+// 1 or a negative hold-up exits 2 with a diagnostic before simulating
+// anything, instead of falling back to a default.
+func TestBadFlagsRejected(t *testing.T) {
 	bin := buildSnG(t)
-	stdout, stderr, code := run(t, bin, "-psu", "xyz")
-	if code != 2 {
-		t.Fatalf("-psu xyz: exit %d, want 2", code)
-	}
-	if stdout != "" {
-		t.Errorf("-psu xyz printed output:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, `unknown PSU "xyz"`) {
-		t.Errorf("stderr = %q, want an unknown PSU diagnostic", stderr)
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-psu", "xyz"}, `unknown PSU "xyz"`},
+		{[]string{"-cores", "0"}, "Cores 0: want at least 1"},
+		{[]string{"-user", "0"}, "UserProcs 0: want at least 1"},
+		{[]string{"-holdup", "-1ms"}, "negative Holdup -1.000ms"},
+	} {
+		stdout, stderr, code := run(t, bin, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%v printed output:\n%s", tc.args, stdout)
+		}
+		if !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: stderr = %q, want %q", tc.args, stderr, tc.msg)
+		}
 	}
 
 	for _, p := range []string{"atx", "server"} {

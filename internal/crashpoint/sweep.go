@@ -20,7 +20,8 @@ type SweepConfig struct {
 	Seeds     []uint64
 
 	// CutsPerCell is how many seeded fuzz offsets each cell adds on top of
-	// the stratified grid (phase starts, midpoints, and window edges).
+	// the stratified grid (phase starts, midpoints, and window edges); 0
+	// cuts the grid only.
 	CutsPerCell int
 
 	// Jobs caps runner parallelism (0 = GOMAXPROCS, 1 = serial). The merged
@@ -102,13 +103,13 @@ func gridFromStop(sc Scenario, label string, fuzz int, window sim.Duration, stop
 // so the merged report is byte-identical at any parallelism.
 func Sweep(cfg SweepConfig) (SweepReport, error) {
 	if len(cfg.Workloads) == 0 {
-		cfg.Workloads = []string{cfg.Base.withDefaults().Workload}
+		cfg.Workloads = []string{cfg.Base.filled().Workload}
 	}
 	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = []uint64{cfg.Base.withDefaults().Seed}
+		cfg.Seeds = []uint64{cfg.Base.Seed}
 	}
-	if cfg.CutsPerCell <= 0 {
-		cfg.CutsPerCell = 8
+	if cfg.CutsPerCell < 0 {
+		return SweepReport{}, fmt.Errorf("crashpoint: negative CutsPerCell %d", cfg.CutsPerCell)
 	}
 
 	type cellIn struct {
@@ -137,7 +138,7 @@ func Sweep(cfg SweepConfig) (SweepReport, error) {
 				return cellOut{err: err}
 			}
 			offsets := CellOffsets(base, label, cfg.CutsPerCell)
-			res := CellResult{Label: label, Workload: c.sc.Workload, Seed: c.sc.withDefaults().Seed}
+			res := CellResult{Label: label, Workload: c.sc.Workload, Seed: c.sc.Seed}
 			for _, off := range offsets {
 				out := base.Fork().CutAt(off)
 				res.Violations += len(out.Violations)

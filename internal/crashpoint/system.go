@@ -1,118 +1,15 @@
 package crashpoint
 
 import (
-	"fmt"
-
 	lightpc "repro"
 	"repro/internal/checkpoint"
 	"repro/internal/journal"
 	"repro/internal/kernel"
 	"repro/internal/pmdk"
 	"repro/internal/pmemdimm"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// Scenario parameterizes one cut exploration: which platform to build, how
-// to age it, and how much application persistence traffic to stage on top
-// before the rails drop.
-type Scenario struct {
-	// Kind selects the platform; the zero value maps to LightPCFull (the
-	// cut invariants assume persistent PCBs, which LegacyPC does not have —
-	// its hibernation path is covered by CheckHibernate instead).
-	Kind lightpc.Kind
-
-	Seed        uint64
-	Cores       int
-	UserProcs   int
-	KernelProcs int
-	Devices     int
-
-	// Ticks pre-ages the kernel scheduler before the power event.
-	Ticks int
-
-	// Workload names the Table II spec whose reference stream drives the
-	// application phase (and, with SampleOps > 0, a timed platform run).
-	Workload string
-
-	// SampleOps sizes an optional timed workload run before the cut
-	// (0 skips it; the functional crash checks do not need it).
-	SampleOps uint64
-
-	// AppOps is how many application persistence operations are staged:
-	// journal puts/commits, pool transactions, checkpoint commits,
-	// datastore line writes, partial checkpoint migrations.
-	AppOps int
-
-	// OpsPerCommit is the journal's transaction size.
-	OpsPerCommit int
-
-	// Holdup overrides the hold-up window (0 = the ATX spec's 16 ms).
-	Holdup sim.Duration
-}
-
-// validate rejects negative sizes, which withDefaults would otherwise
-// silently replace. Zero still selects the default.
-func (sc Scenario) validate() error {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"Cores", int64(sc.Cores)},
-		{"UserProcs", int64(sc.UserProcs)},
-		{"KernelProcs", int64(sc.KernelProcs)},
-		{"Devices", int64(sc.Devices)},
-		{"Ticks", int64(sc.Ticks)},
-		{"AppOps", int64(sc.AppOps)},
-		{"OpsPerCommit", int64(sc.OpsPerCommit)},
-		{"Holdup", int64(sc.Holdup)},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("crashpoint: negative Scenario.%s %d", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-// withDefaults fills zero values with a modest busy system (smaller than
-// the paper's 8/72/48/250 default so cut searches rebuild quickly).
-func (sc Scenario) withDefaults() Scenario {
-	if sc.Kind == lightpc.LegacyPC {
-		sc.Kind = lightpc.LightPCFull
-	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if sc.Cores <= 0 {
-		sc.Cores = 4
-	}
-	if sc.UserProcs <= 0 {
-		sc.UserProcs = 24
-	}
-	if sc.KernelProcs <= 0 {
-		sc.KernelProcs = 16
-	}
-	if sc.Devices <= 0 {
-		sc.Devices = 64
-	}
-	if sc.Ticks <= 0 {
-		sc.Ticks = 6
-	}
-	if sc.Workload == "" {
-		sc.Workload = "Redis"
-	}
-	if sc.AppOps <= 0 {
-		sc.AppOps = 96
-	}
-	if sc.OpsPerCommit <= 0 {
-		sc.OpsPerCommit = 5
-	}
-	if sc.Holdup <= 0 {
-		sc.Holdup = sim.Duration(power.ATX().SpecHoldUp)
-	}
-	return sc
-}
 
 // sysRegion is one checkpoint region the system drives, with its shadow.
 type sysRegion struct {
@@ -166,36 +63,26 @@ type System struct {
 // application phase that leaves both committed state and adversarial
 // residue (staged puts, an open transaction, dirty checkpoint variables, a
 // half-migrated checkpoint), then scheduler aging and the pre-cut capture.
-// A negative size in sc is an error; zero selects the default.
+// Build fills sc's zero fields from CutSystem (see Scenario.filled) and
+// rejects what remains invalid.
 func Build(sc Scenario) (*System, error) {
-	if err := sc.validate(); err != nil {
+	sc = sc.filled()
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	sc = sc.withDefaults()
-	spec, ok := workload.ByName(sc.Workload)
-	if !ok {
-		return nil, fmt.Errorf("crashpoint: unknown workload %q", sc.Workload)
+	_, window, err := sc.Supply()
+	if err != nil {
+		return nil, err
 	}
+	spec, _ := workload.ByName(sc.Workload) // filled and validated: known
 
-	cfg := lightpc.DefaultConfig(sc.Kind)
-	cfg.Seed = sc.Seed
-	cfg.CPU.Cores = sc.Cores
-	cfg.Kernel.Cores = sc.Cores
-	cfg.Kernel.UserProcs = sc.UserProcs
-	cfg.Kernel.KernelProcs = sc.KernelProcs
-	cfg.Kernel.Devices = sc.Devices
-	if sc.SampleOps > 0 {
-		cfg.SampleOps = sc.SampleOps
-	}
-	p := lightpc.New(cfg)
-	if sc.SampleOps > 0 {
-		p.Run(spec)
-	}
+	p := lightpc.New(sc.Config())
+	sc.Sample(p)
 
 	s := &System{
 		Scenario: sc,
 		Platform: p,
-		Window:   sc.Holdup,
+		Window:   window,
 		journal:  journal.Open(pmemdimm.NewSectorDevice(pmemdimm.New(pmemdimm.DefaultConfig()))),
 		shadow: sysShadow{
 			jCommitted: map[uint64]uint64{},

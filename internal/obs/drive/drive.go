@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	lightpc "repro"
+	"repro/internal/crashpoint"
 	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -22,80 +23,12 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sng"
-	"repro/internal/workload"
 )
-
-// Scenario parameterizes one instrumented power-failure run.
-type Scenario struct {
-	Kind lightpc.Kind
-
-	Seed        uint64
-	Cores       int
-	UserProcs   int
-	KernelProcs int
-	Devices     int
-
-	// Ticks pre-ages the kernel scheduler before the power event.
-	Ticks int
-
-	// Workload optionally names a Table II spec to execute before the
-	// power failure ("" skips the workload phase).
-	Workload string
-
-	// PSU selects the supply ("atx" default, or "server"); Holdup
-	// overrides its spec hold-up window when non-zero.
-	PSU    string
-	Holdup sim.Duration
-
-	// Energy attaches per-device joule meters to the platform: the SnG
-	// reports carry per-phase attribution, the registry exports the
-	// meters, and EnergyTable renders the breakdown.
-	Energy bool
-}
-
-// withDefaults fills the zero values with the lightpc-sng defaults.
-func (sc Scenario) withDefaults() Scenario {
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if sc.Cores <= 0 {
-		sc.Cores = 8
-	}
-	if sc.UserProcs <= 0 {
-		sc.UserProcs = 72
-	}
-	if sc.KernelProcs <= 0 {
-		sc.KernelProcs = 48
-	}
-	if sc.Devices <= 0 {
-		sc.Devices = 250
-	}
-	if sc.Ticks <= 0 {
-		sc.Ticks = 20
-	}
-	if sc.PSU == "" {
-		sc.PSU = "atx"
-	}
-	return sc
-}
-
-// window resolves the hold-up budget.
-func (sc Scenario) window() (power.PSU, sim.Duration, error) {
-	psu, err := power.LookupPSU(sc.PSU)
-	if err != nil {
-		return psu, 0, fmt.Errorf("drive: %w", err)
-	}
-	w := sim.Duration(psu.SpecHoldUp)
-	if sc.Holdup > 0 {
-		w = sc.Holdup
-	}
-	return psu, w, nil
-}
 
 // Result bundles one scenario's reports with the instruments that
 // recorded them.
 type Result struct {
-	Scenario Scenario
+	Scenario crashpoint.Scenario
 
 	Run   *lightpc.RunResult // nil when no workload ran
 	Stop  sng.StopReport
@@ -111,31 +44,25 @@ type Result struct {
 	Supply power.PSU
 }
 
-// SnG executes one instrumented scenario: build the platform, wire the
-// observability layer through it, optionally run the workload, age the
-// scheduler, pull the power against the hold-up window, and recover.
-func SnG(sc Scenario) (*Result, error) {
+// SnG executes one instrumented scenario: validate it, build the
+// platform, wire the observability layer through it, run the timed
+// workload (crashpoint.Scenario.Sample), age the scheduler, pull the power
+// against the hold-up window, and recover.
+func SnG(sc crashpoint.Scenario) (*Result, error) {
 	return run(sc, "")
 }
 
 // run is SnG with a metric-name prefix, so Sweep cells merge into one
 // Prometheus document without name collisions.
-func run(sc Scenario, prefix string) (*Result, error) {
-	sc = sc.withDefaults()
-	psu, window, err := sc.window()
+func run(sc crashpoint.Scenario, prefix string) (*Result, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	psu, window, err := sc.Supply()
 	if err != nil {
 		return nil, err
 	}
-
-	cfg := lightpc.DefaultConfig(sc.Kind)
-	cfg.Seed = sc.Seed
-	cfg.CPU.Cores = sc.Cores
-	cfg.Kernel.Cores = sc.Cores
-	cfg.Kernel.UserProcs = sc.UserProcs
-	cfg.Kernel.KernelProcs = sc.KernelProcs
-	cfg.Kernel.Devices = sc.Devices
-	cfg.Energy = sc.Energy
-	p := lightpc.New(cfg)
+	p := lightpc.New(sc.Config())
 
 	res := &Result{
 		Scenario: sc,
@@ -155,14 +82,8 @@ func run(sc Scenario, prefix string) (*Result, error) {
 	}
 	p.Kernel().RegisterMetrics(res.Registry, prefix+"kernel_")
 
-	if sc.Workload != "" {
-		spec, ok := workload.ByName(sc.Workload)
-		if !ok {
-			return nil, fmt.Errorf("drive: unknown workload %q", sc.Workload)
-		}
-		rr := p.Run(spec)
-		res.Run = &rr
-		obs.RegisterTraceStats(res.Registry, prefix+"cpu_", &rr.Stats)
+	if res.Run = sc.Sample(p); res.Run != nil {
+		obs.RegisterTraceStats(res.Registry, prefix+"cpu_", &res.Run.Stats)
 	}
 
 	p.Kernel().Tick(sc.Ticks)
@@ -298,7 +219,7 @@ type SweepResult struct {
 // Sweep runs the scenario once per seed on a deterministic worker pool
 // (jobs ≤ 0 means GOMAXPROCS, 1 forces serial) and returns the cells in
 // seed order — the same bytes at any parallelism.
-func Sweep(base Scenario, seeds []uint64, jobs int) (*SweepResult, error) {
+func Sweep(base crashpoint.Scenario, seeds []uint64, jobs int) (*SweepResult, error) {
 	cells := make([]runner.Cell[*Result], len(seeds))
 	errs := make([]error, len(seeds))
 	for i, seed := range seeds {

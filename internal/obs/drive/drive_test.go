@@ -5,12 +5,19 @@ import (
 	"strings"
 	"testing"
 
-	lightpc "repro"
+	"repro/internal/crashpoint"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-func mustSnG(t *testing.T, sc Scenario) *Result {
+// paper is the paper system with the given seed.
+func paper(seed uint64) crashpoint.Scenario {
+	sc := crashpoint.PaperSystem()
+	sc.Seed = seed
+	return sc
+}
+
+func mustSnG(t *testing.T, sc crashpoint.Scenario) *Result {
 	t.Helper()
 	res, err := SnG(sc)
 	if err != nil {
@@ -22,7 +29,7 @@ func mustSnG(t *testing.T, sc Scenario) *Result {
 // The headline contract: one seeded scenario produces identical trace,
 // metrics, and table bytes on every run.
 func TestSnGDeterministicBytes(t *testing.T) {
-	sc := Scenario{Kind: lightpc.LightPCFull, Seed: 7}
+	sc := paper(7)
 	a, b := mustSnG(t, sc), mustSnG(t, sc)
 
 	if ta, tb := a.ChromeTrace(), b.ChromeTrace(); !bytes.Equal(ta, tb) {
@@ -50,7 +57,7 @@ func TestSnGDeterministicBytes(t *testing.T) {
 // sum to Total, and a completed default run sits inside the 16 ms ATX
 // hold-up window.
 func TestPhasesReconcileWithReport(t *testing.T) {
-	res := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1})
+	res := mustSnG(t, paper(1))
 	if !res.Stop.Completed {
 		t.Fatalf("default scenario missed the hold-up window: %+v", res.Stop)
 	}
@@ -91,7 +98,9 @@ func TestPhasesReconcileWithReport(t *testing.T) {
 // A starved hold-up window must abort without a commit, name the owing
 // phase, and leave the terminal budget-exceeded instant in the trace.
 func TestBudgetExceededNamesOwingPhase(t *testing.T) {
-	res := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1, Holdup: 100 * sim.Microsecond})
+	sc := paper(1)
+	sc.Holdup = 100 * sim.Microsecond
+	res := mustSnG(t, sc)
 	if res.Stop.Completed {
 		t.Fatal("stop completed inside a 100us window")
 	}
@@ -113,11 +122,11 @@ func TestBudgetExceededNamesOwingPhase(t *testing.T) {
 // The sweep contract: same seeds, any -j level, byte-identical artifacts.
 func TestSweepParallelismInvariant(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
-	serial, err := Sweep(Scenario{Kind: lightpc.LightPCFull}, seeds, 1)
+	serial, err := Sweep(crashpoint.PaperSystem(), seeds, 1)
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	parallel, err := Sweep(Scenario{Kind: lightpc.LightPCFull}, seeds, 4)
+	parallel, err := Sweep(crashpoint.PaperSystem(), seeds, 4)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -150,7 +159,8 @@ func TestSweepParallelismInvariant(t *testing.T) {
 // The energy sweep contract: with meters on, the per-phase joule tables
 // and the exported energy gauges are byte-identical at -j 1 and -j N.
 func TestSweepEnergyParallelismInvariant(t *testing.T) {
-	sc := Scenario{Kind: lightpc.LightPCFull, Workload: "Redis", Energy: true}
+	sc := crashpoint.PaperSystem()
+	sc.Workload, sc.Energy = "Redis", true
 	seeds := []uint64{1, 2, 3, 4}
 	serial, err := Sweep(sc, seeds, 1)
 	if err != nil {
@@ -181,7 +191,7 @@ func TestSweepEnergyParallelismInvariant(t *testing.T) {
 // With Scenario.Energy unset the table degrades to an explicit notice and
 // no energy series leak into the exposition.
 func TestEnergyDisabledByDefault(t *testing.T) {
-	res := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1})
+	res := mustSnG(t, paper(1))
 	if res.Energy != nil {
 		t.Fatal("meters built with Scenario.Energy=false")
 	}
@@ -195,7 +205,9 @@ func TestEnergyDisabledByDefault(t *testing.T) {
 
 // A workload-bearing scenario exports the CPU reference-stream counters.
 func TestWorkloadMetricsExported(t *testing.T) {
-	res := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1, Workload: "Redis"})
+	sc := paper(1)
+	sc.Workload = "Redis"
+	res := mustSnG(t, sc)
 	if res.Run == nil {
 		t.Fatal("workload did not run")
 	}
@@ -204,5 +216,18 @@ func TestWorkloadMetricsExported(t *testing.T) {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("metrics missing %s:\n%s", want, prom)
 		}
+	}
+}
+
+// An invalid scenario is rejected before anything is built, not
+// normalised into the paper system.
+func TestInvalidScenarioRejected(t *testing.T) {
+	sc := paper(1)
+	sc.Cores = 0
+	if _, err := SnG(sc); err == nil {
+		t.Error("SnG accepted Cores 0")
+	}
+	if _, err := Sweep(sc, []uint64{1, 2}, 1); err == nil {
+		t.Error("Sweep accepted Cores 0")
 	}
 }
