@@ -75,7 +75,7 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
 # fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
-# line tables and the crash-cut engine (the checked-in corpora also replay
+# line tables, the PMEM-DIMM LRU tier and the crash-cut engine (the checked-in corpora also replay
 # as plain seeds in `make test`). FUZZTIME sets each target's budget; CI
 # runs it with FUZZTIME=10s.
 FUZZTIME ?= 2s
@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=$(FUZZTIME)
 
 # obs-smoke: run one instrumented SnG scenario, a 4-seed sweep, and one
 # scenario on each of the LegacyPC and LightPC-B platforms through

@@ -57,3 +57,20 @@ func BenchmarkCrashSweepCell(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSystemFork measures one Fork of a paper-sized cut cell (8
+// cores, 72+48 processes, 250 devices, a 50k-reference Redis run before
+// the application phase): the per-cut copy every sweep pays before CutAt.
+func BenchmarkSystemFork(b *testing.B) {
+	sc := PaperSystem()
+	sc.Workload, sc.SampleOps = "Redis", 50_000
+	base, err := Build(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base.Fork()
+	}
+}

@@ -256,5 +256,5 @@ func (s *System) capturePre() {
 		s.pre.devContext = append(s.pre.devContext, d.Context)
 		s.pre.devMMIO = append(s.pre.devMMIO, d.MMIO)
 	}
-	s.pre.aliveCount = len(k.Alive())
+	s.pre.aliveCount = k.AliveCount()
 }

@@ -8,6 +8,10 @@ package kernel
 // remapped so each alias in the clone points at the clone's object. Bank
 // write observers are not carried over (Bank.Clone drops them): an observer
 // belongs to whoever installed it on the source.
+//
+// PCBs, cores, devices and wait queues are each copied into one slab, and
+// every run queue and waiter list into one more, so a clone costs the
+// same number of allocations at any system size.
 func (k *Kernel) Clone() *Kernel {
 	out := &Kernel{
 		cfg:           k.cfg,
@@ -20,14 +24,18 @@ func (k *Kernel) Clone() *Kernel {
 
 	// Banks first: the kernel's two plus whatever a PCB points at (after a
 	// cold boot a process bank can differ from both), identity-remapped so
-	// shared banks stay shared in the clone.
-	banks := map[*Bank]*Bank{nil: nil}
+	// shared banks stay shared in the clone. There are only ever a few, so
+	// a linear search beats a map.
+	type bankPair struct{ src, dst *Bank }
+	banks := []bankPair{{nil, nil}}
 	bankOf := func(b *Bank) *Bank {
-		if c, ok := banks[b]; ok {
-			return c
+		for _, e := range banks {
+			if e.src == b {
+				return e.dst
+			}
 		}
 		c := b.Clone()
-		banks[b] = c
+		banks = append(banks, bankPair{b, c})
 		return c
 	}
 	out.DRAM = bankOf(k.DRAM)
@@ -35,49 +43,69 @@ func (k *Kernel) Clone() *Kernel {
 	out.Boot = &Bootloader{ocpmem: out.OCPMEM}
 
 	// Processes: value-copy each PCB and remap its bank; wait-queue links
-	// are rewired below once every clone exists.
-	procs := map[*Process]*Process{nil: nil}
+	// are rewired below once every queue exists.
+	procs := make(map[*Process]*Process, len(k.Procs)+1)
+	procs[nil] = nil
+	pcbs := make([]Process, len(k.Procs))
 	out.Procs = make([]*Process, len(k.Procs))
 	for i, p := range k.Procs {
-		c := new(Process)
+		c := &pcbs[i]
 		*c = *p
 		c.bank = bankOf(p.bank)
 		out.Procs[i] = c
 		procs[p] = c
 	}
 
+	queued := 0
+	for _, q := range k.queues {
+		queued += len(q.waiters)
+	}
+	for _, c := range k.Cores {
+		queued += len(c.RunQueue)
+	}
+	slab := procSlab(make([]*Process, queued))
+
+	queues := make([]WaitQueue, len(k.queues))
 	out.queues = make([]*WaitQueue, len(k.queues))
 	for i, q := range k.queues {
-		nq := &WaitQueue{Name: q.Name}
-		nq.waiters = make([]*Process, len(q.waiters))
-		for j, w := range q.waiters {
-			nq.waiters[j] = procs[w]
+		nq := &queues[i]
+		nq.Name = q.Name
+		nq.waiters = slab.carve(len(q.waiters))
+		for _, w := range q.waiters {
+			nq.waiters = append(nq.waiters, procs[w])
 		}
 		out.queues[i] = nq
-		for _, p := range k.Procs {
+	}
+	for i, p := range k.Procs {
+		if p.wq == nil {
+			continue
+		}
+		for j, q := range k.queues {
 			if p.wq == q {
-				procs[p].wq = nq
+				out.Procs[i].wq = out.queues[j]
+				break
 			}
 		}
 	}
 
+	cores := make([]Core, len(k.Cores))
 	out.Cores = make([]*Core, len(k.Cores))
 	for i, c := range k.Cores {
-		nc := new(Core)
+		nc := &cores[i]
 		*nc = *c
 		nc.Current = procs[c.Current]
-		nc.RunQueue = make([]*Process, len(c.RunQueue))
-		for j, p := range c.RunQueue {
-			nc.RunQueue[j] = procs[p]
+		nc.RunQueue = slab.carve(len(c.RunQueue))
+		for _, p := range c.RunQueue {
+			nc.RunQueue = append(nc.RunQueue, procs[p])
 		}
 		out.Cores[i] = nc
 	}
 
+	devs := make([]Device, len(k.Devices))
 	out.Devices = make([]*Device, len(k.Devices))
 	for i, d := range k.Devices {
-		nd := new(Device)
-		*nd = *d
-		out.Devices[i] = nd
+		devs[i] = *d
+		out.Devices[i] = &devs[i]
 	}
 	return out
 }

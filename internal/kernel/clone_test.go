@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -68,6 +69,53 @@ func TestKernelCloneIndependence(t *testing.T) {
 					t.Fatalf("clone core %d run queue holds a source process", i)
 				}
 			}
+		}
+	}
+}
+
+// TestAllocShapeIndependentOfSize pins boot and Clone at a fixed number
+// of allocations: PCBs, cores, devices, queues and names each come from
+// one slab, so a paper-sized system costs as many objects as a small one.
+func TestAllocShapeIndependentOfSize(t *testing.T) {
+	small := DefaultConfig()
+	small.UserProcs, small.KernelProcs, small.Devices = 24, 16, 64
+	paper := DefaultConfig()
+	if small.Cores != paper.Cores {
+		t.Fatal("the two sizes must share a core count")
+	}
+	var boot, clone [2]float64
+	for i, cfg := range []Config{small, paper} {
+		bank := NewBank("ocpmem", true)
+		boot[i] = testing.AllocsPerRun(20, func() { NewWithBank(cfg, bank) })
+		k := NewWithBank(cfg, bank)
+		clone[i] = testing.AllocsPerRun(20, func() { k.Clone() })
+	}
+	if boot[0] != boot[1] {
+		t.Errorf("NewWithBank: %.0f allocs at %d+%d procs/%d devices, %.0f at %d+%d/%d",
+			boot[0], small.UserProcs, small.KernelProcs, small.Devices,
+			boot[1], paper.UserProcs, paper.KernelProcs, paper.Devices)
+	}
+	if clone[0] != clone[1] {
+		t.Errorf("Clone: %.0f allocs at the small size, %.0f at the paper size", clone[0], clone[1])
+	}
+}
+
+// TestBootNames pins the boot-time names to the fmt verbs they replace,
+// across the widths' edges.
+func TestBootNames(t *testing.T) {
+	k := New(Config{Cores: 2, UserProcs: 101, KernelProcs: 12, Devices: 1001, Seed: 3})
+	for i, p := range k.Procs {
+		want := fmt.Sprintf("user%02d", i)
+		if p.Kernel {
+			want = fmt.Sprintf("kthread%02d", i-101)
+		}
+		if p.Name != want {
+			t.Fatalf("process %d named %q, want %q", i, p.Name, want)
+		}
+	}
+	for i, d := range k.Devices {
+		if want := fmt.Sprintf("dev%03d", i); d.Name != want {
+			t.Fatalf("device %d named %q, want %q", i, d.Name, want)
 		}
 	}
 }

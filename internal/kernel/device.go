@@ -58,11 +58,11 @@ type Device struct {
 // dcbBase is the reserved OC-PMEM region holding device control blocks.
 const dcbBase = 0xD0_0000_0000
 
-// newDevice builds a device with deterministic per-index callback costs in
-// the few-to-tens-of-microseconds band real drivers show.
-func newDevice(idx int, rng *sim.RNG) *Device {
-	d := &Device{
-		Name:        fmt.Sprintf("dev%03d", idx),
+// init fills a device in place with deterministic per-index callback
+// costs in the few-to-tens-of-microseconds band real drivers show.
+func (d *Device) init(idx int, name string, rng *sim.RNG) {
+	*d = Device{
+		Name:        name,
 		Index:       idx,
 		PrepareCost: sim.FromNanoseconds(1000 + float64(rng.Intn(2000))),
 		SuspendCost: sim.FromNanoseconds(3500 + float64(rng.Intn(8500))),
@@ -75,7 +75,6 @@ func newDevice(idx int, rng *sim.RNG) *Device {
 		d.Peripheral = true
 		d.MMIO = rng.Uint64()
 	}
-	return d
 }
 
 // TotalSuspendCost is the serial dpm work to take the device down.

@@ -13,7 +13,8 @@
 package kernel
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -144,49 +145,127 @@ func NewWithBank(cfg Config, ocpmem *Bank) *Kernel {
 		procBank = k.DRAM
 	}
 	k.Boot = NewBootloader(k.OCPMEM)
-	for _, name := range []string{"io", "timer", "net", "futex"} {
-		k.queues = append(k.queues, &WaitQueue{Name: name})
+	queues := make([]WaitQueue, len(queueNames))
+	k.queues = make([]*WaitQueue, len(queues))
+	for i, name := range queueNames {
+		queues[i].Name = name
+		k.queues[i] = &queues[i]
 	}
 
-	for i := 0; i < cfg.Cores; i++ {
-		c := &Core{ID: i, Online: true}
+	// Cores, PCBs and devices are each one slab, and every name is a
+	// substring of one buffer, so boot allocates the same number of
+	// objects at any system size.
+	cores := make([]Core, cfg.Cores)
+	k.Cores = make([]*Core, len(cores))
+	for i := range cores {
+		c := &cores[i]
+		c.ID, c.Online = i, true
 		for j := range c.MRegs {
 			c.MRegs[j] = k.rng.Uint64()
 		}
 		c.DirtyLines = k.rng.Intn(cfg.CacheLinesPerCore + 1)
-		k.Cores = append(k.Cores, c)
+		k.Cores[i] = c
 	}
-	for i := 0; i < cfg.UserProcs; i++ {
-		p := k.spawn(fmt.Sprintf("user%02d", i), false, procBank)
-		p.Nice = k.rng.Intn(16) - 5 // -5..10
-	}
-	for i := 0; i < cfg.KernelProcs; i++ {
-		p := k.spawn(fmt.Sprintf("kthread%02d", i), true, procBank)
-		p.Nice = -10
+	users, kthreads, devices := max(cfg.UserProcs, 0), max(cfg.KernelProcs, 0), max(cfg.Devices, 0)
+	var names nameBuf
+	names.Grow(nameLen("user", 2, users) + nameLen("kthread", 2, kthreads) + nameLen("dev", 3, devices))
+	pcbs := make([]Process, users+kthreads)
+	k.Procs = make([]*Process, len(pcbs))
+	for i := range pcbs {
+		p := &pcbs[i]
+		k.nextPID++
+		if i < users {
+			p.init(k.nextPID, names.name("user", 2, i), false, procBank)
+			p.Nice = k.rng.Intn(16) - 5 // -5..10
+		} else {
+			p.init(k.nextPID, names.name("kthread", 2, i-users), true, procBank)
+			p.Nice = -10
+		}
+		k.Procs[i] = p
 	}
 	// Distribute: some asleep on wait queues, the rest runnable across
-	// cores; one running per core.
+	// cores; one running per core. The first pass places each task and
+	// counts every queue, so the second fills queues carved from one slab.
+	lens := make([]int, len(k.Cores)+len(k.queues))
 	for i, p := range k.Procs {
 		if k.rng.Float64() < cfg.SleepFraction {
 			p.State = TaskSleeping
 			p.CoreID = -1
-			wq := k.queues[k.rng.Intn(len(k.queues))]
-			p.wq = wq
-			wq.waiters = append(wq.waiters, p)
+			qi := k.rng.Intn(len(k.queues))
+			p.wq = k.queues[qi]
+			lens[len(k.Cores)+qi]++
 			continue
 		}
-		core := k.Cores[i%cfg.Cores]
 		p.State = TaskRunnable
-		p.CoreID = core.ID
-		core.RunQueue = append(core.RunQueue, p)
+		p.CoreID = i % cfg.Cores
+		lens[p.CoreID]++
+	}
+	slab := procSlab(make([]*Process, len(k.Procs)))
+	for i, c := range k.Cores {
+		c.RunQueue = slab.carve(lens[i])
+	}
+	for i, wq := range k.queues {
+		wq.waiters = slab.carve(lens[len(k.Cores)+i])
+	}
+	for _, p := range k.Procs {
+		if p.wq != nil {
+			p.wq.waiters = append(p.wq.waiters, p)
+		} else {
+			c := k.Cores[p.CoreID]
+			c.RunQueue = append(c.RunQueue, p)
+		}
 	}
 	for _, c := range k.Cores {
 		k.scheduleNext(c)
 	}
-	for i := 0; i < cfg.Devices; i++ {
-		k.Devices = append(k.Devices, newDevice(i, k.rng))
+	devs := make([]Device, devices)
+	k.Devices = make([]*Device, len(devs))
+	for i := range devs {
+		devs[i].init(i, names.name("dev", 3, i), k.rng)
+		k.Devices[i] = &devs[i]
 	}
 	return k
+}
+
+// queueNames are the kernel's wait queues, in boot order.
+var queueNames = [...]string{"io", "timer", "net", "futex"}
+
+// procSlab hands out consecutive windows of one []*Process backing
+// array, each empty with room for n: appending past a window reallocates
+// instead of overwriting its neighbour.
+type procSlab []*Process
+
+func (s *procSlab) carve(n int) []*Process {
+	w := (*s)[:0:n]
+	*s = (*s)[n:]
+	return w
+}
+
+// nameBuf builds the boot-time names ("user%02d", "kthread%02d",
+// "dev%03d") as substrings of one buffer instead of one fmt.Sprintf
+// string each.
+type nameBuf struct{ strings.Builder }
+
+// name appends prefix and i, zero-padded to width digits, and returns it.
+func (b *nameBuf) name(prefix string, width, i int) string {
+	start := b.Len()
+	b.WriteString(prefix)
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(i), 10)
+	for n := len(digits); n < width; n++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
+	return b.String()[start:]
+}
+
+// nameLen bounds the bytes n names prefix%0*d take (indices 0..n-1).
+func nameLen(prefix string, width, n int) int {
+	digits := 1
+	for v := n; v >= 10; v /= 10 {
+		digits++
+	}
+	return n * (len(prefix) + max(width, digits))
 }
 
 // Config reports the system configuration.
@@ -198,13 +277,6 @@ func (k *Kernel) ProcBank() *Bank {
 		return k.DRAM
 	}
 	return k.OCPMEM
-}
-
-func (k *Kernel) spawn(name string, kernelThread bool, bank *Bank) *Process {
-	k.nextPID++
-	p := newProcess(k.nextPID, name, kernelThread, bank)
-	k.Procs = append(k.Procs, p)
-	return p
 }
 
 // scheduleNext installs the fair-scheduler pick (min vruntime) from the
@@ -276,13 +348,24 @@ func (k *Kernel) Sleepers() []*Process {
 
 // Alive returns every non-stopped process, the traversal from init_task.
 func (k *Kernel) Alive() []*Process {
-	var out []*Process
+	out := make([]*Process, 0, k.AliveCount())
 	for _, p := range k.Procs {
 		if p.State != TaskStopped {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// AliveCount reports how many processes Alive would return.
+func (k *Kernel) AliveCount() int {
+	n := 0
+	for _, p := range k.Procs {
+		if p.State != TaskStopped {
+			n++
+		}
+	}
+	return n
 }
 
 // WakeToCore moves a sleeping process onto the given core's run queue,

@@ -73,9 +73,10 @@ type Process struct {
 	bank    *Bank
 }
 
-// newProcess builds a PCB with its memory base in the given bank.
-func newProcess(pid int, name string, kernelThread bool, bank *Bank) *Process {
-	return &Process{
+// init fills a PCB with its memory base in the given bank (boot fills a
+// slab of them).
+func (p *Process) init(pid int, name string, kernelThread bool, bank *Bank) {
+	*p = Process{
 		PID:     pid,
 		Name:    name,
 		Kernel:  kernelThread,

@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// newProcess builds a standalone PCB with its memory base in the given
+// bank.
+func newProcess(pid int, name string, kernelThread bool, bank *Bank) *Process {
+	p := new(Process)
+	p.init(pid, name, kernelThread, bank)
+	return p
+}
+
 func TestNiceWeightMonotonic(t *testing.T) {
 	prev := niceWeight(-20)
 	for nice := -19; nice <= 19; nice++ {

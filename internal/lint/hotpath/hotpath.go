@@ -1,13 +1,15 @@
 // Package hotpath forbids map[uint64]-keyed fields in the device hot
-// packages (pram, memctrl, psm).
+// packages (pram, memctrl, psm, pmemdimm).
 //
 // Those packages perform one metadata lookup per simulated memory access —
-// in-flight cooling windows, wear counters, near-cache tags, line content —
-// and a profile of the experiment suite once showed ~40% of all CPU inside
-// Go map machinery for exactly these lookups. internal/linetab provides the
-// paged, epoch-stamped replacements (Counters, Table, Bits, Slab, Flight)
-// with O(1) access, index-ordered iteration, and zero steady-state
-// allocation; this analyzer keeps the maps from creeping back.
+// in-flight cooling windows, wear counters, near-cache tags, line content,
+// PMEM-DIMM tier tags — and a profile of the experiment suite once showed
+// ~40% of all CPU inside Go map machinery for exactly these lookups.
+// internal/linetab provides the paged, epoch-stamped replacements
+// (Counters, Table, Bits, Slab, Flight) with O(1) access, index-ordered
+// iteration, and zero steady-state allocation, and pmemdimm's LRU tiers
+// keep their own open-addressed index; this analyzer keeps the maps from
+// creeping back.
 //
 // Only struct fields are flagged: a local map inside a constructor or a
 // cold path is fine; persistent per-line state held by a device model is
@@ -35,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 
 // hotPackages are the device-model packages with per-access metadata
 // lookups on the simulated memory path.
-var hotPackages = []string{"pram", "memctrl", "psm"}
+var hotPackages = []string{"pram", "memctrl", "psm", "pmemdimm"}
 
 // hotPackage reports whether the import path names a device hot package
 // (matched by final path element so fixture stubs scope the same way).

@@ -2,21 +2,16 @@ package pmemdimm
 
 import "slices"
 
-// clone deep-copies an LRU tier: the index map, the node arena, and the
-// list/flush-epoch scalars. Copying map entries into a fresh map is
-// order-insensitive — the clone holds the same key set regardless of
-// iteration order — so the copy is deterministic.
+// clone deep-copies an LRU tier: the index, the node arena, and the
+// list/flush-epoch scalars. Both slices hold only live state, so the copy
+// is proportional to the tier's occupancy, not its capacity.
 func (l *lru) clone() *lru {
 	if l == nil {
 		return nil
 	}
-	items := make(map[uint64]int32, len(l.items))
-	for k, v := range l.items {
-		items[k] = v
-	}
 	return &lru{
 		cap:   l.cap,
-		items: items,
+		index: slices.Clone(l.index),
 		nodes: slices.Clone(l.nodes),
 		head:  l.head,
 		tail:  l.tail,

@@ -67,16 +67,23 @@ func DefaultConfig() Config {
 // slice-backed arena linked by index, so the steady state allocates
 // nothing: evicted slots are reused in place for the incoming key.
 //
+// The key index is open-addressed (linear probing, backward-shift
+// delete) and kept at most half full. A slot holds a node's arena index
+// plus one (0 is empty), and lookups compare against the node's key. The
+// index starts small and doubles with the live entry count, so a tier
+// holding a few hundred blocks has a table of a few hundred slots
+// whatever its capacity, and clone copies O(live) slots.
+//
 // Dirtiness is epoch-stamped rather than stored as a bool: a node is dirty
 // iff its dirtyStamp is newer than the tier's last flush epoch. Clearing
 // every dirty bit (Flush) is then a single epoch increment, and the tier
-// maintains a running dirty count so Flush never walks the map.
+// maintains a running dirty count so Flush never walks the index.
 type lru struct {
 	cap   int
-	items map[uint64]int32
-	nodes []lruNode
-	head  int32 // most recent, -1 if empty
-	tail  int32 // least recent, -1 if empty
+	index []int32   // length a power of two, at least twice len(nodes)
+	nodes []lruNode // every node is live
+	head  int32     // most recent, -1 if empty
+	tail  int32     // least recent, -1 if empty
 
 	stamp uint64 // flush epoch; node dirty iff dirtyStamp > stamp
 	dirty int    // live dirty nodes
@@ -88,13 +95,73 @@ type lruNode struct {
 	prev, next int32
 }
 
+// lruMinIndex is a new tier's index size.
+const lruMinIndex = 8
+
 func newLRU(capacity int) *lru {
 	return &lru{
 		cap:   capacity,
-		items: make(map[uint64]int32, capacity),
+		index: make([]int32, lruMinIndex),
 		nodes: make([]lruNode, 0, capacity),
 		head:  -1,
 		tail:  -1,
+	}
+}
+
+// home is key's preferred index slot: a Fibonacci hash folded so the
+// low bits depend on every key bit.
+//
+//lightpc:zeroalloc
+func (l *lru) home(key uint64) int {
+	h := key * 0x9E3779B97F4A7C15
+	return int(h^h>>32) & (len(l.index) - 1)
+}
+
+// find reports the slot holding key and its node, or the empty slot that
+// ends key's probe run and -1.
+//
+//lightpc:zeroalloc
+func (l *lru) find(key uint64) (slot int, node int32) {
+	mask := len(l.index) - 1
+	for s := l.home(key); ; s = (s + 1) & mask {
+		e := l.index[s]
+		if e == 0 {
+			return s, -1
+		}
+		if l.nodes[e-1].key == key {
+			return s, e - 1
+		}
+	}
+}
+
+// remove deletes key, which must be present, by backward shift: each
+// later entry of the probe run that may legally fill the hole moves into
+// it, so lookups never need tombstones.
+//
+//lightpc:zeroalloc
+func (l *lru) remove(key uint64) {
+	mask := len(l.index) - 1
+	hole, _ := l.find(key)
+	for j := (hole + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may move to the hole when the hole lies on its
+		// probe path, from its home slot up to j.
+		if (j-l.home(l.nodes[l.index[j]-1].key))&mask >= (j-hole)&mask {
+			l.index[hole] = l.index[j]
+			hole = j
+		}
+	}
+	l.index[hole] = 0
+}
+
+// grow doubles the index and re-places every node in arena order.
+//
+//lightpc:zeroalloc
+func (l *lru) grow() {
+	//lint:allow zeroalloc the index doubles with the live count, amortized; a full tier never grows again
+	l.index = make([]int32, 2*len(l.index))
+	for i, n := range l.nodes {
+		s, _ := l.find(n.key)
+		l.index[s] = int32(i) + 1
 	}
 }
 
@@ -145,8 +212,8 @@ func (l *lru) markDirty(i int32) {
 //
 //lightpc:zeroalloc
 func (l *lru) touch(key uint64) (int32, bool) {
-	i, ok := l.items[key]
-	if !ok {
+	_, i := l.find(key)
+	if i < 0 {
 		return -1, false
 	}
 	l.unlink(i)
@@ -154,21 +221,28 @@ func (l *lru) touch(key uint64) (int32, bool) {
 	return i, true
 }
 
-// insert adds key, reporting whether a block was evicted to make room and
-// whether that block was dirty.
+// insert adds key, or refreshes it (marking it dirty if asked) when
+// present, reporting whether a block was evicted to make room and whether
+// that block was dirty.
 //
 //lightpc:zeroalloc
 func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
-	if i, ok := l.items[key]; ok {
+	if i, ok := l.touch(key); ok {
 		if dirty {
 			l.markDirty(i)
 		}
-		l.unlink(i)
-		l.pushFront(i)
 		return false, false
 	}
+	return l.insertNew(key, dirty)
+}
+
+// insertNew adds a key the caller has just missed on, skipping insert's
+// lookup, with insert's results.
+//
+//lightpc:zeroalloc
+func (l *lru) insertNew(key uint64, dirty bool) (evictedDirty, evicted bool) {
 	var i int32
-	if len(l.items) >= l.cap {
+	if len(l.nodes) >= l.cap {
 		// Reuse the LRU victim's slot for the incoming key.
 		i = l.tail
 		n := &l.nodes[i]
@@ -178,11 +252,13 @@ func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
 			l.dirty--
 		}
 		l.unlink(i)
-		//lint:allow zeroalloc eviction keeps the map at fixed size; no growth
-		delete(l.items, n.key)
+		l.remove(n.key)
 		n.key = key
 		n.dirtyStamp = 0
 	} else {
+		if 2*(len(l.nodes)+1) > len(l.index) {
+			l.grow()
+		}
 		i = int32(len(l.nodes))
 		//lint:allow zeroalloc the node arena fills once, up to the fixed capacity
 		l.nodes = append(l.nodes, lruNode{key: key, prev: -1, next: -1})
@@ -190,8 +266,8 @@ func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
 	if dirty {
 		l.markDirty(i)
 	}
-	//lint:allow zeroalloc map size is bounded by the tier capacity; steady state reuses evicted slots
-	l.items[key] = i
+	s, _ := l.find(key)
+	l.index[s] = i + 1
 	l.pushFront(i)
 	return evictedDirty, evicted
 }
@@ -205,7 +281,7 @@ func (l *lru) flushAll() int {
 	return n
 }
 
-func (l *lru) len() int { return len(l.items) }
+func (l *lru) len() int { return len(l.nodes) }
 
 // Stats counts the DIMM's internal traffic.
 type Stats struct {
@@ -299,15 +375,15 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 		d.stats.DRAMHits++
 		d.em.Op(energy.PMEMDRAMHit)
 		lat += d.cfg.DRAMLookup
-		d.evictDirty(d.sram.insert(mblock, false))
+		d.evictDirty(d.sram.insertNew(mblock, false))
 	} else {
 		// Miss everywhere: firmware translation + media read, filling
 		// both tiers.
 		lat += d.cfg.DRAMLookup + d.firmware() + d.cfg.MediaRead
 		d.stats.MediaReads++
 		d.em.Op(energy.PMEMMediaRead)
-		d.evictDirty(d.dram.insert(bblock, false))
-		d.evictDirty(d.sram.insert(mblock, false))
+		d.evictDirty(d.dram.insertNew(bblock, false))
+		d.evictDirty(d.sram.insertNew(mblock, false))
 	}
 	done := start.Add(lat)
 	d.busyUntil = start.Add(d.cfg.LSQLatency) // LSQ frees after issue
@@ -341,13 +417,13 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 		// but occupy the device.
 		lat += d.cfg.SRAMLookup
 		occupancy := d.cfg.SRAMLookup
-		if _, ok := d.dram.touch(bblock); !ok {
-			occupancy += d.cfg.DRAMLookup + d.firmware()
-			d.evictDirty(d.dram.insert(bblock, true))
+		if i, ok := d.dram.touch(bblock); ok {
+			d.dram.markDirty(i)
 		} else {
-			d.dram.insert(bblock, true)
+			occupancy += d.cfg.DRAMLookup + d.firmware()
+			d.evictDirty(d.dram.insertNew(bblock, true))
 		}
-		d.evictDirty(d.sram.insert(mblock, true))
+		d.evictDirty(d.sram.insertNew(mblock, true))
 		d.busyUntil = start.Add(occupancy)
 	}
 	done := start.Add(lat)

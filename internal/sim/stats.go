@@ -17,13 +17,17 @@ const (
 	histSubBits = 6
 	histSub     = 1 << histSubBits
 	histTopBits = 40
-	histBuckets = (histTopBits - histSubBits + 1) * histSub // overflow bucket excluded
+	histPages   = histTopBits - histSubBits + 1 // one page of histSub buckets per octave
+	histBuckets = histPages * histSub           // overflow bucket excluded
 )
 
 // Histogram is the fixed-memory latency recorder of the device access
-// paths (PSM reads and write acks, PMEM-DIMM reads). Its footprint is one
-// ~18 KB allocation at construction; Add never allocates and Clone is a
-// flat copy.
+// paths (PSM reads and write acks, PMEM-DIMM reads). Its buckets are kept
+// in one page of histSub counts per octave. NewHistogram allocates the
+// header and every page as one ~18 KB block, so Add on a fresh histogram
+// never allocates. Clone copies only the octaves that hold samples, into
+// one compact block; a clone allocates a missing page on its first sample
+// in that octave.
 //
 // Count, Sum, Mean, Min and Max are exact. StdDev and CoefficientOfVariation
 // come from running power sums kept in wide integers, so they are exact up
@@ -39,13 +43,31 @@ type Histogram struct {
 	// s1 and s2 are Σx and Σx² as little-endian 128- and 192-bit
 	// integers: wide enough for 2^64 samples of any Duration, and
 	// cheaper per sample than a running mean's division.
-	s1     [2]uint64
-	s2     [3]uint64
-	counts [histBuckets + 1]uint64
+	s1 [2]uint64
+	s2 [3]uint64
+	// pages[o] holds octave o's bucket counts; a nil page (clones only)
+	// has none. Bit o of live is set once octave o records a sample.
+	// Samples of 2^histTopBits ps and more are the n not in any page.
+	pages [histPages]*[histSub]uint64
+	live  uint64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// histBlock is NewHistogram's single allocation: the header and every
+// octave page together.
+type histBlock struct {
+	h     Histogram
+	pages [histPages][histSub]uint64
+}
+
+// NewHistogram returns an empty histogram with every octave page in
+// place.
+func NewHistogram() *Histogram {
+	b := new(histBlock)
+	for o := range b.pages {
+		b.h.pages[o] = &b.pages[o]
+	}
+	return &b.h
+}
 
 // Add records one sample. A negative sample is a simulator bug and panics.
 //
@@ -54,7 +76,15 @@ func (h *Histogram) Add(d Duration) {
 	if d < 0 {
 		panic(negativeSample(d))
 	}
-	h.counts[bucketOf(d)]++
+	if i := bucketOf(d); i < histBuckets {
+		o := i >> histSubBits
+		pg := h.pages[o]
+		if pg == nil {
+			pg = h.addPage(o)
+		}
+		pg[i&(histSub-1)]++
+		h.live |= 1 << o
+	}
 	if h.n == 0 || d < h.min {
 		h.min = d
 	}
@@ -70,6 +100,17 @@ func (h *Histogram) Add(d Duration) {
 	h.s2[0], c = bits.Add64(h.s2[0], lo, 0)
 	h.s2[1], c = bits.Add64(h.s2[1], hi, c)
 	h.s2[2] += c
+}
+
+// addPage gives a clone the octave page it left out, on the first sample
+// there.
+//
+//lightpc:zeroalloc
+func (h *Histogram) addPage(o int) *[histSub]uint64 {
+	//lint:allow zeroalloc a clone's missing octave page is allocated once, on first touch
+	pg := new([histSub]uint64)
+	h.pages[o] = pg
+	return pg
 }
 
 // negativeSample formats the panic message out of line, keeping Add's
@@ -140,10 +181,15 @@ func (h *Histogram) Percentile(p float64) Duration {
 	}
 	rank := uint64(percentileRank(p, h.n))
 	var seen uint64
-	for i, c := range h.counts[:histBuckets] {
-		seen += c
-		if seen > rank {
-			return min(max(bucketMid(i), h.min), h.max)
+	for o, pg := range h.pages {
+		if h.live&(1<<o) == 0 {
+			continue
+		}
+		for j, c := range pg {
+			seen += c
+			if seen > rank {
+				return min(max(bucketMid(o<<histSubBits|j), h.min), h.max)
+			}
 		}
 	}
 	return h.max // the rank falls in the overflow bucket

@@ -157,8 +157,8 @@ func TestBucketOfCoversEdges(t *testing.T) {
 }
 
 func TestHistogramFootprintAndAllocFree(t *testing.T) {
-	if size := unsafe.Sizeof(Histogram{}); size > 20<<10 {
-		t.Fatalf("Histogram is %d B, want ≤ 20 KB", size)
+	if size := unsafe.Sizeof(histBlock{}); size > 20<<10 {
+		t.Fatalf("a fresh Histogram is %d B, want ≤ 20 KB", size)
 	}
 	h := NewHistogram()
 	v := Duration(1)
