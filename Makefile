@@ -34,9 +34,9 @@ race-parallel:
 vet:
 	$(GO) vet ./...
 
-# lightpc-lint: the repo's own go/analysis suite, six analyzers
-# (epcutorder, simtime, hotpath, plus the fact-based interprocedural
-# passes detreach, zeroalloc, persistorder)
+# lightpc-lint: the repo's own go/analysis suite, five analyzers
+# (simtime, hotpath, plus the fact-based interprocedural passes
+# detreach, zeroalloc, persistorder)
 # run through go vet's -vettool hook over the whole module — internal/,
 # cmd/, and examples/ alike. The wall time is printed so CI logs track
 # the cost of the suite as it grows.
@@ -47,7 +47,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 6 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: 5 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -4,7 +4,7 @@
 //	go build -o bin/lightpc-lint ./cmd/lightpc-lint
 //	go vet -vettool=$(pwd)/bin/lightpc-lint ./...
 //
-// (or simply `make lint`). It bundles six analyzers that enforce, at vet
+// (or simply `make lint`). It bundles five analyzers that enforce, at vet
 // time, the invariants the reproduction otherwise only checks dynamically:
 //
 //	detreach       bit-for-bit determinism from one policy table: no wall
@@ -15,21 +15,22 @@
 //	               anywhere; and an "impure" fact (wall clock, ambient rand,
 //	               env reads, map-order escape) propagates through the call
 //	               graph, so calls into nondeterministic helpers are flagged
-//	epcutorder     in internal/sng and internal/checkpoint, the EP-cut
-//	               commit is dominated by flush/sync, nothing persistent
-//	               moves after the commit, and spend() deadlines are checked
-//	persistorder   in journal/pmdk/psm, every persistent mutation in a
-//	               logging function follows the journal append, and nothing
-//	               persistent moves after a //lightpc:commitpoint
+//	persistorder   one per-package rule table over sng, checkpoint,
+//	               journal, pmdk and psm: in the journal stacks every
+//	               persistent mutation in a logging function follows the
+//	               journal append; in sng and checkpoint every EP-cut commit
+//	               is dominated by flush/sync and spend() deadlines are
+//	               checked; in all five nothing persistent moves after a
+//	               //lightpc:commitpoint, tracked across packages by facts
 //	zeroalloc      functions annotated //lightpc:zeroalloc (and the pinned
 //	               hot set behind BENCH_SEED.json's 0 allocs/op benches)
 //	               contain no allocation sites and only call functions that
 //	               carry the zeroalloc fact, transitively across packages
 //	simtime        stdlib time.Duration (nanoseconds) never mixes with
 //	               sim.Duration/sim.Time (picoseconds)
-//	hotpath        the device hot packages (pram, memctrl, psm) may not
-//	               hold map[uint64]-keyed fields; per-line metadata lives
-//	               on internal/linetab's paged tables
+//	hotpath        the device hot packages (pram, memctrl, psm, pmemdimm)
+//	               may not hold map[uint64]-keyed fields; per-line metadata
+//	               lives on internal/linetab's paged tables
 //
 // Findings can be suppressed in place with a reasoned directive:
 //
@@ -41,7 +42,6 @@ package main
 
 import (
 	"repro/internal/lint/detreach"
-	"repro/internal/lint/epcutorder"
 	"repro/internal/lint/hotpath"
 	"repro/internal/lint/persistorder"
 	"repro/internal/lint/simtime"
@@ -52,7 +52,6 @@ import (
 func main() {
 	unitchecker.Main(
 		detreach.Analyzer,
-		epcutorder.Analyzer,
 		persistorder.Analyzer,
 		zeroalloc.Analyzer,
 		simtime.Analyzer,

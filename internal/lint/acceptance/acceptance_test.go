@@ -3,8 +3,10 @@
 // package closure out of the repository into a scratch GOPATH tree, seeds
 // the exact regression the analyzer exists to catch — an allocation in the
 // core-interleave loop, a datastore write hoisted above its undo-log
-// append, an environment read feeding simulation code — and asserts the
-// analyzer fires on the seeded line (and nowhere else).
+// append, an EP-cut commit written before the flush, an unannotated commit
+// point, an environment read feeding simulation code — and asserts the
+// analyzer fires on the seeded lines (and nowhere else). The unmutated
+// closures must analyze clean.
 package acceptance_test
 
 import (
@@ -43,6 +45,36 @@ var pmdkClosure = []string{
 	"internal/cache",
 	"internal/kernel",
 	"internal/pmdk",
+}
+
+// sngClosure is the dependency closure of internal/sng, whose Stop draws
+// the EP-cut: the commit word is written through kernel.Bootloader.Commit,
+// a commit point declared in another package.
+var sngClosure = []string{
+	"internal/sim",
+	"internal/snapshot",
+	"internal/trace",
+	"internal/obs",
+	"internal/power",
+	"internal/energy",
+	"internal/kernel",
+	"internal/ecc",
+	"internal/linetab",
+	"internal/pram",
+	"internal/nvdimm",
+	"internal/psm",
+	"internal/sng",
+}
+
+// checkpointClosure is the dependency closure of internal/checkpoint, the
+// A-CheckPC library whose Region.Commit is a commit point.
+var checkpointClosure = []string{
+	"internal/sim",
+	"internal/snapshot",
+	"internal/trace",
+	"internal/obs",
+	"internal/kernel",
+	"internal/checkpoint",
 }
 
 // scratchTree copies the given packages from the repository root into a
@@ -124,6 +156,46 @@ func TestPersistorderCatchesReorderedUndoLog(t *testing.T) {
 			"\t\tp.logUndo(addr)\n"+
 			"\t}\n")
 	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/pmdk")
+}
+
+// TestRealSnGIsClean runs persistorder over the live sng closure: Stop's
+// flush, sync and commit order passes as written.
+func TestRealSnGIsClean(t *testing.T) {
+	linttest.Run(t, scratchTree(t, sngClosure), persistorder.Analyzer, "repro/internal/sng")
+}
+
+// TestReorderedSnGFires writes the EP-cut commit word right after the
+// master's register dump, ahead of its cache flush and the memory sync.
+// persistorder must report the undominated commit and every EP-cut store
+// now after it: the field stores by the store table, the BCB writers by
+// the MutatesPersistent fact carried over from kernel.
+func TestReorderedSnGFires(t *testing.T) {
+	root := scratchTree(t, sngClosure)
+	sng := filepath.Join(root, "src", "repro", "internal", "sng", "sng.go")
+	mutate(t, sng, "\t\t\t\t\t\tk.Boot.Commit()\n", "\t\t\t\t\t\t// commit reordered earlier\n")
+	mutate(t, sng, "k.Boot.SaveCoreRegisters(master)\n",
+		"k.Boot.SaveCoreRegisters(master)\n"+
+			"\t\t\tk.Boot.Commit() // want `EP-cut ordering: kernel.Bootloader.Commit is not dominated by a cache/row-buffer flush`\n")
+	mutate(t, sng, "master.DirtyLines = 0\n",
+		"master.DirtyLines = 0 // want `persistent mutation \\(master.DirtyLines\\) after the commit point`\n")
+	mutate(t, sng, "k.Boot.SaveWearMeta([4]uint64{a, b, c, d})\n",
+		"k.Boot.SaveWearMeta([4]uint64{a, b, c, d}) // want `persistent mutation \\(kernel.Bootloader.SaveWearMeta\\) after the commit point`\n")
+	mutate(t, sng, "k.Boot.SetMEPC(epCutPC)\n",
+		"k.Boot.SetMEPC(epCutPC) // want `persistent mutation \\(kernel.Bootloader.SetMEPC\\) after the commit point`\n")
+	mutate(t, sng, "k.PersistFlag = false\n",
+		"k.PersistFlag = false // want `persistent mutation \\(k.PersistFlag\\) after the commit point`\n")
+	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/sng")
+}
+
+// TestPersistorderCatchesUnannotatedCommit drops //lightpc:commitpoint
+// from checkpoint.Region.Commit: the rot guard must flag the method, since
+// without the annotation no caller would be checked against it.
+func TestPersistorderCatchesUnannotatedCommit(t *testing.T) {
+	root := scratchTree(t, checkpointClosure)
+	mutate(t, filepath.Join(root, "src", "repro", "internal", "checkpoint", "checkpoint.go"),
+		"//\n//lightpc:commitpoint\nfunc (r *Region) Commit() int {\n",
+		"func (r *Region) Commit() int { // want `Commit looks like a commit point but lacks //lightpc:commitpoint`\n")
+	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/checkpoint")
 }
 
 // TestDetreachCatchesEnvReadInSimCode adds a helper that samples the host

@@ -197,10 +197,12 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 
 // annotationPrefix introduces the repository's function-contract markers:
 //
-//	//lightpc:zeroalloc   this function must not allocate (zeroalloc)
-//	//lightpc:pure        trusted determinism assertion (detreach)
+//	//lightpc:zeroalloc       this function must not allocate (zeroalloc)
+//	//lightpc:pure            trusted determinism assertion (detreach)
 //	//lightpc:journalappend   this function IS the journal append (persistorder)
-//	//lightpc:commitpoint     this function IS the commit point (persistorder)
+//	//lightpc:commitpoint     this function IS the commit point: the EP-cut's
+//	                          BCB word, a checkpoint region's header flip, a
+//	                          journal or pool commit (persistorder)
 const annotationPrefix = "lightpc:"
 
 // HasAnnotation reports whether the function declaration's doc comment

@@ -1,4 +1,4 @@
-// Package elsewhere is outside the sng/checkpoint scope: Commit-named
+// Package elsewhere is outside the persistorder policy table: Commit-named
 // methods here (database transactions, say) are not the EP-cut protocol.
 package elsewhere
 

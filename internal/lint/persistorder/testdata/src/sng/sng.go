@@ -1,26 +1,9 @@
-// Package sng mirrors the shape of repro/internal/sng for the epcutorder
-// fixtures: a bootloader with a Commit word, cores with dirty lines, and a
-// deadline-driven spend.
+// Package sng mirrors the shape of repro/internal/sng for the persistorder
+// EP-cut fixtures: the kernel fixture's bootloader with its Commit word,
+// cores with dirty lines, and a deadline-driven spend.
 package sng
 
-type bank struct{ words map[uint64]uint64 }
-
-func (b *bank) Write(addr, v uint64) {}
-
-type bootloader struct{ m *bank }
-
-func (b *bootloader) Commit()           {}
-func (b *bootloader) SetMEPC(pc uint64) {}
-
-type core struct {
-	DirtyLines int
-	Online     bool
-}
-
-type machine struct {
-	Boot        *bootloader
-	PersistFlag bool
-}
+import "kernel"
 
 type run struct{ dead bool }
 
@@ -30,7 +13,7 @@ func flushCaches() {}
 func memSync()     {}
 
 // GoodStop: flush and sync dominate the commit.
-func GoodStop(m *machine, r *run) {
+func GoodStop(m *kernel.Kernel, r *run) {
 	flushCaches()
 	memSync()
 	if r.spend(3) {
@@ -40,7 +23,7 @@ func GoodStop(m *machine, r *run) {
 
 // GoodGuardedFlush: the flush charge is the condition guarding the commit,
 // so it executes on every path that reaches it.
-func GoodGuardedFlush(m *machine, r *run) {
+func GoodGuardedFlush(m *kernel.Kernel, r *run) {
 	var flush int64 = 4
 	if r.spend(flush) {
 		m.Boot.Commit()
@@ -48,14 +31,14 @@ func GoodGuardedFlush(m *machine, r *run) {
 }
 
 // BadNoFlush commits without any flush at all.
-func BadNoFlush(m *machine) {
+func BadNoFlush(m *kernel.Kernel) {
 	m.Boot.SetMEPC(0x80002000)
 	m.Boot.Commit() // want `not dominated by a cache/row-buffer flush`
 }
 
 // BadLoopFlush flushes only inside a loop body, which may run zero times:
 // that does not dominate the commit.
-func BadLoopFlush(m *machine, cores []*core, r *run) {
+func BadLoopFlush(m *kernel.Kernel, cores []*kernel.Core, r *run) {
 	for _, c := range cores {
 		if !r.spend(int64(c.DirtyLines)) {
 			break
@@ -66,7 +49,7 @@ func BadLoopFlush(m *machine, cores []*core, r *run) {
 }
 
 // BadBranchFlush flushes only on one branch not enclosing the commit.
-func BadBranchFlush(m *machine, havePSM bool) {
+func BadBranchFlush(m *kernel.Kernel, havePSM bool) {
 	if havePSM {
 		flushCaches()
 	}
@@ -74,19 +57,19 @@ func BadBranchFlush(m *machine, havePSM bool) {
 }
 
 // BadMutateAfterCommit stores into EP-cut state after the commit word.
-func BadMutateAfterCommit(m *machine, c *core) {
+func BadMutateAfterCommit(m *kernel.Kernel, c *kernel.Core) {
 	memSync()
 	m.Boot.Commit()
-	m.PersistFlag = false // want `persistent state \(m\.PersistFlag\) mutated after the EP-cut commit`
-	c.DirtyLines = 0      // want `persistent state \(c\.DirtyLines\) mutated after the EP-cut commit`
+	m.PersistFlag = false // want `persistent mutation \(m\.PersistFlag\) after the commit point`
+	c.DirtyLines = 0      // want `persistent mutation \(c\.DirtyLines\) after the commit point`
 	c.Online = false      // power marker, not EP-cut state: allowed
 }
 
 // BadWriteAfterCommit issues a persistent-bank write after the commit.
-func BadWriteAfterCommit(m *machine, b *bank) {
+func BadWriteAfterCommit(m *kernel.Kernel, b *kernel.Bank) {
 	memSync()
 	m.Boot.Commit()
-	b.Write(64, 1) // want `persistent state \(b\.Write\(\)\) mutated after the EP-cut commit`
+	b.Write(64, 1) // want `persistent mutation \(kernel\.Bank\.Write\) after the commit point`
 }
 
 // BadUncheckedSpend discards the deadline result.
@@ -99,6 +82,6 @@ func BadUncheckedSpend(r *run) {
 }
 
 // AllowedCommit demonstrates the escape hatch.
-func AllowedCommit(m *machine) {
-	m.Boot.Commit() //lint:allow epcutorder commit word lives in an uncached bank
+func AllowedCommit(m *kernel.Kernel) {
+	m.Boot.Commit() //lint:allow persistorder commit word lives in an uncached bank
 }
