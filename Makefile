@@ -134,7 +134,12 @@ crash-smoke: | $(BIN)
 	$(BIN)/lightpc-crash -mode sweep -workloads Redis -seeds 1 -cuts 4 -j 0 -q && \
 	echo "crash-smoke: all recovery invariants hold in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
-ci: build vet lint test equivalence race race-parallel fuzz-smoke obs-smoke energy-smoke crash-smoke
+# ci runs every step of the CI workflow. perfdiff is CI's separate
+# perfdiff job: its time deltas stay report-only, but a benchmark the seed
+# pins at 0 allocs/op that now allocates fails (target-specific flags,
+# which a PERFDIFF_FLAGS on the command line still overrides).
+ci: PERFDIFF_FLAGS ?= -strict-zero-alloc
+ci: build vet lint test equivalence race race-parallel fuzz-smoke obs-smoke energy-smoke crash-smoke perfdiff
 
 clean:
 	rm -rf $(BIN)

@@ -207,7 +207,7 @@ func main() {
 	// Get/Set/Flight paths are also pinned at 0 allocs/op.
 	// internal/energy: the meter charge paths — the disabled (nil) meter
 	// benches are pinned at 0 allocs/op like the disabled obs instruments.
-	// internal/linetab also carries the per-table Clone microbenches, and
+	// internal/linetab also carries the Slab and Flight Clone microbenches, and
 	// internal/crashpoint the fork-vs-rebuild sweep-cell comparison.
 	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint")
 	// The bench subprocess must also see the real core count, both so the

@@ -3,7 +3,7 @@ package main_test
 // Smoke test: lightpc-lint builds, speaks the vettool protocol well enough
 // for cmd/go, passes a clean package, fails a package that calls
 // time.Now() inside internal/, and carries persistorder's facts from one
-// package's .vetx file to its importer.
+// package's .vetx file to its importer in modules of any name.
 
 import (
 	"os"
@@ -48,12 +48,14 @@ import "time"
 
 func Stamp() int64 { return time.Now().UnixNano() }
 `)
-	// A second module, named repro because the vettool analyzes only
-	// repro/... dependencies for facts: sng commits through kernel's
-	// annotated Commit, then writes the bank through a kernel helper.
-	repro := filepath.Join(tmp, "repro")
-	writeFile(t, filepath.Join(repro, "go.mod"), "module repro\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(repro, "internal", "kernel", "kernel.go"), `package kernel
+	// Two-package modules for the fact path: sng commits through kernel's
+	// annotated Commit, then writes the bank through a kernel helper. One
+	// module is named like this repository, one is not: every unit with a
+	// module path is analyzed for facts, whatever the module is called.
+	factMod := func(name string) string {
+		dir := filepath.Join(tmp, "facts-"+name)
+		writeFile(t, filepath.Join(dir, "go.mod"), "module "+name+"\n\ngo 1.22\n")
+		writeFile(t, filepath.Join(dir, "internal", "kernel", "kernel.go"), `package kernel
 
 type Bank struct{ words [16]uint64 }
 
@@ -68,9 +70,9 @@ func (b *Bootloader) Commit() { b.M.Write(0, 1) }
 
 func SetMEPC(b *Bootloader, pc uint64) { b.M.Write(8, pc) }
 `)
-	writeFile(t, filepath.Join(repro, "internal", "sng", "sng.go"), `package sng
+		writeFile(t, filepath.Join(dir, "internal", "sng", "sng.go"), `package sng
 
-import "repro/internal/kernel"
+import "`+name+`/internal/kernel"
 
 func memSync() {}
 
@@ -80,6 +82,8 @@ func Stop(b *kernel.Bootloader) {
 	kernel.SetMEPC(b, 0x80002000)
 }
 `)
+		return dir
+	}
 
 	vet := func(dir, pkg string) (string, error) {
 		cmd := exec.Command(goTool, "vet", "-vettool="+tool, pkg)
@@ -101,12 +105,14 @@ func Stop(b *kernel.Bootloader) {
 
 	// The CommitPoint fact on kernel's Commit and the MutatesPersistent
 	// fact on SetMEPC reach sng only through kernel's .vetx file.
-	out, err = vet(repro, "./internal/sng")
-	if err == nil {
-		t.Errorf("sng writing after its commit should fail vet, got success:\n%s", out)
-	}
-	if !strings.Contains(out, "sng.go:10:") || !strings.Contains(out, "[persistorder]") ||
-		!strings.Contains(out, "persistent mutation (kernel.SetMEPC) after the commit point (kernel.Bootloader.Commit)") {
-		t.Errorf("missing persistorder after-commit diagnostic in output:\n%s", out)
+	for _, name := range []string{"repro", "m"} {
+		out, err := vet(factMod(name), "./internal/sng")
+		if err == nil {
+			t.Errorf("module %s: sng writing after its commit should fail vet, got success:\n%s", name, out)
+		}
+		if !strings.Contains(out, "sng.go:10:") || !strings.Contains(out, "[persistorder]") ||
+			!strings.Contains(out, "persistent mutation (kernel.SetMEPC) after the commit point (kernel.Bootloader.Commit)") {
+			t.Errorf("module %s: missing persistorder after-commit diagnostic in output:\n%s", name, out)
+		}
 	}
 }

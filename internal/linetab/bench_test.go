@@ -12,32 +12,6 @@ import (
 
 const benchLines = 1 << 14
 
-func BenchmarkCountersInc(b *testing.B) {
-	c := NewCounters()
-	for i := uint64(0); i < benchLines; i++ {
-		c.Inc(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc(uint64(i) & (benchLines - 1))
-	}
-}
-
-func BenchmarkCountersGet(b *testing.B) {
-	c := NewCounters()
-	for i := uint64(0); i < benchLines; i++ {
-		c.Inc(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += c.Get(uint64(i) & (benchLines - 1))
-	}
-	_ = sink
-}
-
 func BenchmarkTableSet(b *testing.B) {
 	t := NewTable()
 	for i := uint64(0); i < benchLines; i++ {
@@ -61,22 +35,6 @@ func BenchmarkTableGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v, _ := t.Get(uint64(i) & (benchLines - 1))
 		sink += v
-	}
-	_ = sink
-}
-
-func BenchmarkBitsGet(b *testing.B) {
-	bits := NewBits()
-	for i := uint64(0); i < benchLines; i += 2 {
-		bits.Set(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		if bits.Get(uint64(i) & (benchLines - 1)) {
-			sink++
-		}
 	}
 	_ = sink
 }

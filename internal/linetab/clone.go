@@ -19,43 +19,22 @@ func (d *dirIndex) clone() dirIndex {
 	}
 }
 
-// Clone returns a deep copy sharing no state with c.
-func (c *Counters) Clone() *Counters {
-	if c == nil {
+// Clone returns a deep copy sharing no state with t. A nil table clones
+// to nil (psm keeps its poison table nil until the first poison).
+func (t *Table) Clone() *Table {
+	if t == nil {
 		return nil
 	}
-	return &Counters{
-		dir:     c.dir.clone(),
-		pages:   slices.Clone(c.pages),
-		epochs:  slices.Clone(c.epochs),
-		epoch:   c.epoch,
-		touched: c.touched,
-	}
+	c := t.cloneValue()
+	return &c
 }
 
 // cloneValue deep-copies a Table held by value (the Slab embeds one).
 func (t *Table) cloneValue() Table {
 	return Table{
-		dir:    t.dir.clone(),
-		pages:  slices.Clone(t.pages),
-		epochs: slices.Clone(t.epochs),
-		epoch:  t.epoch,
-		count:  t.count,
-	}
-}
-
-// Clone returns a deep copy sharing no state with b. A nil bitset clones to
-// nil (the all-clear bitset is represented as nil on purpose).
-func (b *Bits) Clone() *Bits {
-	if b == nil {
-		return nil
-	}
-	return &Bits{
-		dir:    b.dir.clone(),
-		pages:  slices.Clone(b.pages),
-		epochs: slices.Clone(b.epochs),
-		epoch:  b.epoch,
-		count:  b.count,
+		dir:   t.dir.clone(),
+		pages: slices.Clone(t.pages),
+		count: t.count,
 	}
 }
 

@@ -11,12 +11,8 @@ import (
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, dirIndex{},
 		"dense", "spillKeys", "spillSlots", "spillLive", "spillShift")
-	snapshot.CheckCovered(t, Counters{},
-		"dir", "pages", "epochs", "epoch", "touched")
 	snapshot.CheckCovered(t, Table{},
-		"dir", "pages", "epochs", "epoch", "count")
-	snapshot.CheckCovered(t, Bits{},
-		"dir", "pages", "epochs", "epoch", "count")
+		"dir", "pages", "count")
 	snapshot.CheckCovered(t, Slab{},
 		"rec", "refs", "arena")
 	snapshot.CheckCovered(t, Flight{},
@@ -26,37 +22,25 @@ func TestCloneCompleteness(t *testing.T) {
 // TestCloneIndependence mutates clones and sources and checks neither sees
 // the other.
 func TestCloneIndependence(t *testing.T) {
-	c := NewCounters()
-	c.Add(5, 10)
-	c.Add(1<<40, 3) // spill-table path
-	cc := c.Clone()
-	cc.Add(5, 1)
-	if got := c.Get(5); got != 10 {
-		t.Fatalf("source counter changed by clone write: %d", got)
-	}
-	c.Add(1<<40, 1)
-	if got := cc.Get(1 << 40); got != 3 {
-		t.Fatalf("clone counter changed by source write: %d", got)
-	}
-
 	tb := NewTable()
 	tb.Set(7, 70)
-	tc := tb.cloneValue()
+	tb.Set(1<<40, 3) // spill-table path
+	tc := tb.Clone()
 	tc.Set(7, 71)
+	tc.Set(9, 90)
 	if v, _ := tb.Get(7); v != 70 {
 		t.Fatalf("source table changed by clone write: %d", v)
 	}
-
-	b := NewBits()
-	b.Set(9)
-	bc := b.Clone()
-	bc.Set(10)
-	if b.Get(10) {
-		t.Fatal("source bits changed by clone write")
+	if _, ok := tb.Get(9); ok || tb.Len() != 2 {
+		t.Fatalf("clone insert visible in source (Len %d)", tb.Len())
 	}
-	var nilBits *Bits
-	if nilBits.Clone() != nil {
-		t.Fatal("nil bits must clone to nil")
+	tb.Set(1<<40, 4)
+	if v, _ := tc.Get(1 << 40); v != 3 {
+		t.Fatalf("clone table changed by source write: %d", v)
+	}
+	var nilTable *Table
+	if nilTable.Clone() != nil {
+		t.Fatal("nil table must clone to nil")
 	}
 
 	s := NewSlab(4)
@@ -73,24 +57,6 @@ func TestCloneIndependence(t *testing.T) {
 	fc.Set(0, 42, 200)
 	if end, _ := f.End(42); end != 100 {
 		t.Fatalf("source flight changed by clone write: %v", end)
-	}
-}
-
-// populateCounters fills n slots across several pages.
-func populateCounters(n int) *Counters {
-	c := NewCounters()
-	for i := 0; i < n; i++ {
-		c.Add(uint64(i*37), uint64(i)+1)
-	}
-	return c
-}
-
-func BenchmarkCountersClone(b *testing.B) {
-	c := populateCounters(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Clone()
 	}
 }
 

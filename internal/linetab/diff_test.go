@@ -2,7 +2,6 @@ package linetab
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,145 +13,69 @@ import (
 // are the structures backing golden-pinned device models, so the shadows are
 // exact re-statements of the old semantics, not approximations.
 
-func TestCountersDiff(t *testing.T) {
+// TestTableDiff drives three tables in the three shapes the devices use —
+// values with stored zeros (memctrl's tag array), read-modify-write
+// counters with absent read as zero (pram wear) and presence-only sets
+// (psm poison) — each against the map it replaced.
+func TestTableDiff(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
-		c := NewCounters()
-		shadow := map[uint64]uint64{}
+		vals, counts, set := NewTable(), NewTable(), NewTable()
+		valShadow := map[uint64]uint64{}
+		countShadow := map[uint64]uint64{}
+		setShadow := map[uint64]bool{}
 		for op := 0; op < 20000; op++ {
 			idx := rng.Uint64n(1 << 14)
 			if rng.Bool(0.02) {
 				idx = rng.Uint64() // occasional far/spill index
 			}
-			switch rng.Intn(5) {
+			switch rng.Intn(3) {
 			case 0:
-				c.Set(idx, idx%7)
-				if idx%7 == 0 {
-					delete(shadow, idx)
-				} else {
-					shadow[idx] = idx % 7
-				}
-			case 1:
-				if rng.Bool(0.001) {
-					c.Reset()
-					shadow = map[uint64]uint64{}
-					continue
-				}
-				fallthrough
-			default:
-				got := c.Inc(idx)
-				shadow[idx]++
-				if got != shadow[idx] {
-					t.Fatalf("seed %d op %d: Inc(%d) = %d, shadow %d", seed, op, idx, got, shadow[idx])
-				}
-			}
-			if got := c.Get(idx); got != shadow[idx] {
-				t.Fatalf("seed %d op %d: Get(%d) = %d, shadow %d", seed, op, idx, got, shadow[idx])
-			}
-		}
-		if c.Touched() != len(shadow) {
-			t.Fatalf("seed %d: Touched = %d, shadow %d", seed, c.Touched(), len(shadow))
-		}
-		// Max must match a deterministic lowest-index-wins scan of the shadow.
-		var wantIdx, wantVal uint64
-		keys := make([]uint64, 0, len(shadow))
-		for k := range shadow {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			if shadow[k] > wantVal {
-				wantIdx, wantVal = k, shadow[k]
-			}
-		}
-		if gi, gv := c.Max(); gi != wantIdx || gv != wantVal {
-			t.Fatalf("seed %d: Max = (%d, %d), shadow (%d, %d)", seed, gi, gv, wantIdx, wantVal)
-		}
-		visited := map[uint64]uint64{}
-		var prev uint64
-		first := true
-		c.ForEach(func(idx, val uint64) {
-			if !first && idx <= prev {
-				t.Fatalf("seed %d: ForEach out of order at %d after %d", seed, idx, prev)
-			}
-			first, prev = false, idx
-			visited[idx] = val
-		})
-		if len(visited) != len(shadow) {
-			t.Fatalf("seed %d: ForEach visited %d, shadow %d", seed, len(visited), len(shadow))
-		}
-		for k, v := range shadow {
-			if visited[k] != v {
-				t.Fatalf("seed %d: ForEach[%d] = %d, shadow %d", seed, k, visited[k], v)
-			}
-		}
-	}
-}
-
-func TestTableDiff(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		rng := sim.NewRNG(seed)
-		tb := NewTable()
-		shadow := map[uint64]uint64{}
-		for op := 0; op < 20000; op++ {
-			idx := rng.Uint64n(1 << 13)
-			if rng.Bool(0.02) {
-				idx = rng.Uint64()
-			}
-			if rng.Bool(0.001) {
-				tb.Reset()
-				shadow = map[uint64]uint64{}
-			}
-			if rng.Bool(0.7) {
 				v := rng.Uint64n(100) // stored zeros must stay present
-				tb.Set(idx, v)
-				shadow[idx] = v
+				vals.Set(idx, v)
+				valShadow[idx] = v
+			case 1:
+				n, _ := counts.Get(idx)
+				counts.Set(idx, n+1)
+				countShadow[idx]++
+			case 2:
+				set.Set(idx, 1)
+				setShadow[idx] = true
 			}
-			gv, gok := tb.Get(idx)
-			sv, sok := shadow[idx]
+			gv, gok := vals.Get(idx)
+			sv, sok := valShadow[idx]
 			if gv != sv || gok != sok {
 				t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), shadow (%d, %v)", seed, op, idx, gv, gok, sv, sok)
 			}
-			if tb.Len() != len(shadow) {
-				t.Fatalf("seed %d op %d: Len = %d, shadow %d", seed, op, tb.Len(), len(shadow))
+			if n, _ := counts.Get(idx); n != countShadow[idx] {
+				t.Fatalf("seed %d op %d: count(%d) = %d, shadow %d", seed, op, idx, n, countShadow[idx])
+			}
+			if _, ok := set.Get(idx); ok != setShadow[idx] {
+				t.Fatalf("seed %d op %d: in set(%d) = %v, shadow %v", seed, op, idx, ok, setShadow[idx])
+			}
+			if vals.Len() != len(valShadow) || counts.Len() != len(countShadow) || set.Len() != len(setShadow) {
+				t.Fatalf("seed %d op %d: Len = %d/%d/%d, shadow %d/%d/%d", seed, op,
+					vals.Len(), counts.Len(), set.Len(), len(valShadow), len(countShadow), len(setShadow))
 			}
 		}
-		n := 0
-		tb.ForEach(func(idx, val uint64) {
-			n++
-			if sv, ok := shadow[idx]; !ok || sv != val {
-				t.Fatalf("seed %d: ForEach (%d, %d) not in shadow", seed, idx, val)
-			}
-		})
-		if n != len(shadow) {
-			t.Fatalf("seed %d: ForEach visited %d, shadow %d", seed, n, len(shadow))
-		}
-	}
-}
-
-func TestBitsDiff(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		rng := sim.NewRNG(seed)
-		b := NewBits()
-		shadow := map[uint64]bool{}
-		for op := 0; op < 20000; op++ {
-			idx := rng.Uint64n(1 << 18)
-			if rng.Bool(0.02) {
-				idx = rng.Uint64()
-			}
-			if rng.Bool(0.001) {
-				b.Reset()
-				shadow = map[uint64]bool{}
-			}
-			if rng.Bool(0.5) {
-				b.Set(idx)
-				shadow[idx] = true
-			}
-			if b.Get(idx) != shadow[idx] {
-				t.Fatalf("seed %d op %d: Get(%d) = %v, shadow %v", seed, op, idx, b.Get(idx), shadow[idx])
-			}
-			if b.Count() != len(shadow) {
-				t.Fatalf("seed %d op %d: Count = %d, shadow %d", seed, op, b.Count(), len(shadow))
+		for _, c := range []struct {
+			name   string
+			tb     *Table
+			shadow map[uint64]uint64
+		}{{"vals", vals, valShadow}, {"counts", counts, countShadow}} {
+			n := 0
+			var prev uint64
+			c.tb.ForEach(func(idx, val uint64) {
+				if n > 0 && idx <= prev {
+					t.Fatalf("seed %d: %s ForEach out of order at %d after %d", seed, c.name, idx, prev)
+				}
+				n, prev = n+1, idx
+				if sv, ok := c.shadow[idx]; !ok || sv != val {
+					t.Fatalf("seed %d: %s ForEach (%d, %d) not in shadow", seed, c.name, idx, val)
+				}
+			})
+			if n != len(c.shadow) {
+				t.Fatalf("seed %d: %s ForEach visited %d, shadow %d", seed, c.name, n, len(c.shadow))
 			}
 		}
 	}
@@ -167,10 +90,6 @@ func TestSlabDiff(t *testing.T) {
 		buf := make([]byte, rec)
 		for op := 0; op < 10000; op++ {
 			idx := rng.Uint64n(1 << 12)
-			if rng.Bool(0.001) {
-				s.Reset()
-				shadow = map[uint64][]byte{}
-			}
 			if rng.Bool(0.6) {
 				for i := range buf {
 					buf[i] = byte(rng.Uint64())

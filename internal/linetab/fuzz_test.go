@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzLineTab interprets the fuzz input as an op stream over every linetab
-// structure, each run in lockstep with the plain map it replaced. The fuzzer
-// hunts for index patterns (page boundaries, spill-directory indices, epoch
-// reuse after Reset) where the paged layout and the map disagree.
+// structure, each run in lockstep with the plain map it replaced: a Table
+// of values, a Table of read-modify-write counters, a presence-only Table
+// and a Flight. The fuzzer hunts for index patterns (page boundaries,
+// spill-directory indices) where the paged layout and the map disagree.
 func FuzzLineTab(f *testing.F) {
 	f.Add([]byte{})
 	seed := make([]byte, 0, 64)
@@ -24,12 +25,12 @@ func FuzzLineTab(f *testing.F) {
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 7, 4, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewCounters()
+		counts := NewTable()
 		cShadow := map[uint64]uint64{}
 		tb := NewTable()
 		tShadow := map[uint64]uint64{}
-		b := NewBits()
-		bShadow := map[uint64]bool{}
+		set := NewTable()
+		sShadow := map[uint64]bool{}
 		var fl Flight
 		flShadow := map[uint64]sim.Time{}
 		now := sim.Time(0)
@@ -41,30 +42,18 @@ func FuzzLineTab(f *testing.F) {
 			arg := uint64(data[9])
 			data = data[10:]
 
-			switch op % 8 {
+			switch op % 4 {
 			case 0:
-				got := c.Add(idx, arg)
+				n, _ := counts.Get(idx)
+				counts.Set(idx, n+arg)
 				cShadow[idx] += arg
-				if cShadow[idx] == 0 {
-					delete(cShadow, idx)
-				}
-				if got != cShadow[idx] {
-					t.Fatalf("Counters.Add(%d, %d) = %d, shadow %d", idx, arg, got, cShadow[idx])
-				}
 			case 1:
-				c.Set(idx, arg)
-				if arg == 0 {
-					delete(cShadow, idx)
-				} else {
-					cShadow[idx] = arg
-				}
-			case 2:
 				tb.Set(idx, arg)
 				tShadow[idx] = arg
+			case 2:
+				set.Set(idx, 1)
+				sShadow[idx] = true
 			case 3:
-				b.Set(idx)
-				bShadow[idx] = true
-			case 4:
 				now = now.Add(sim.Duration(arg))
 				end := now.Add(sim.Duration(idx % 512))
 				fl.Set(now, idx%1024, end)
@@ -72,30 +61,18 @@ func FuzzLineTab(f *testing.F) {
 				if end > maxEnd {
 					maxEnd = end
 				}
-			case 5:
-				c.Reset()
-				cShadow = map[uint64]uint64{}
-				tb.Reset()
-				tShadow = map[uint64]uint64{}
-			case 6:
-				b.Reset()
-				bShadow = map[uint64]bool{}
-			case 7:
-				fl.Reset()
-				flShadow = map[uint64]sim.Time{}
-				maxEnd = 0
 			}
 
-			if got := c.Get(idx); got != cShadow[idx] {
-				t.Fatalf("Counters.Get(%d) = %d, shadow %d", idx, got, cShadow[idx])
+			if n, _ := counts.Get(idx); n != cShadow[idx] {
+				t.Fatalf("count(%d) = %d, shadow %d", idx, n, cShadow[idx])
 			}
 			gv, gok := tb.Get(idx)
 			sv, sok := tShadow[idx]
 			if gv != sv || gok != sok {
 				t.Fatalf("Table.Get(%d) = (%d, %v), shadow (%d, %v)", idx, gv, gok, sv, sok)
 			}
-			if b.Get(idx) != bShadow[idx] {
-				t.Fatalf("Bits.Get(%d) = %v, shadow %v", idx, b.Get(idx), bShadow[idx])
+			if _, ok := set.Get(idx); ok != sShadow[idx] {
+				t.Fatalf("in set(%d) = %v, shadow %v", idx, ok, sShadow[idx])
 			}
 			key := idx % 1024
 			sEnd, sHeld := flShadow[key]
@@ -105,9 +82,9 @@ func FuzzLineTab(f *testing.F) {
 			if got := fl.Drain(now); got != sim.Max(now, maxEnd) {
 				t.Fatalf("Flight.Drain(%v) = %v, want %v", now, got, sim.Max(now, maxEnd))
 			}
-			if c.Touched() != len(cShadow) || tb.Len() != len(tShadow) || b.Count() != len(bShadow) {
-				t.Fatalf("cardinality drift: Counters %d/%d, Table %d/%d, Bits %d/%d",
-					c.Touched(), len(cShadow), tb.Len(), len(tShadow), b.Count(), len(bShadow))
+			if counts.Len() != len(cShadow) || tb.Len() != len(tShadow) || set.Len() != len(sShadow) {
+				t.Fatalf("cardinality drift: counts %d/%d, values %d/%d, set %d/%d",
+					counts.Len(), len(cShadow), tb.Len(), len(tShadow), set.Len(), len(sShadow))
 			}
 		}
 	})

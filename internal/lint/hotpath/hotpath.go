@@ -5,9 +5,9 @@
 // in-flight cooling windows, wear counters, near-cache tags, line content,
 // PMEM-DIMM tier tags — and a profile of the experiment suite once showed
 // ~40% of all CPU inside Go map machinery for exactly these lookups.
-// internal/linetab provides the paged, epoch-stamped replacements
-// (Counters, Table, Bits, Slab, Flight) with O(1) access, index-ordered
-// iteration, and zero steady-state allocation, and pmemdimm's LRU tiers
+// internal/linetab provides the paged replacements (Table, Slab, Flight)
+// with O(1) access, index-ordered iteration, and zero steady-state
+// allocation, and pmemdimm's LRU tiers
 // keep their own open-addressed index; this analyzer keeps the maps from
 // creeping back.
 //
@@ -76,7 +76,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if len(field.Names) > 0 {
 					name = field.Names[0].Name
 				}
-				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight)", name, pass.Pkg.Path())
+				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Table/Slab/Flight)", name, pass.Pkg.Path())
 			}
 			return true
 		})

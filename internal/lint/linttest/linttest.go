@@ -17,7 +17,9 @@
 //
 // Imports among fixture packages resolve inside testdata/src; everything
 // else (the standard library) is type-checked from source via go/importer,
-// which needs no network and no precompiled archives.
+// which needs no network and no precompiled archives. One such importer
+// serves every Run in a test binary, so each standard package is checked
+// once per binary rather than once per Run.
 //
 // The harness is fact-aware: every fixture package is analyzed as soon as
 // it is type-checked — dependencies first, since type-checking pulls them
@@ -40,6 +42,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint/analysis"
@@ -53,7 +56,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 		fset:     token.NewFileSet(),
 		srcDir:   filepath.Join(dir, "src"),
 		pkgs:     make(map[string]*loadedPkg),
-		std:      importer.ForCompiler(token.NewFileSet(), "source", nil),
 		analyzer: a,
 		store:    analysis.NewFactStore(),
 	}
@@ -82,9 +84,25 @@ type loader struct {
 	fset     *token.FileSet
 	srcDir   string
 	pkgs     map[string]*loadedPkg
-	std      types.Importer
 	analyzer *analysis.Analyzer
 	store    *analysis.FactStore
+}
+
+// std type-checks standard-library packages from source and memoizes them.
+// The source importer is not safe for concurrent use, hence the mutex;
+// the packages it returns are complete and only read afterwards.
+var std struct {
+	sync.Mutex
+	imp types.Importer
+}
+
+func importStd(path string) (*types.Package, error) {
+	std.Lock()
+	defer std.Unlock()
+	if std.imp == nil {
+		std.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	}
+	return std.imp.Import(path)
 }
 
 // Import lets the loader serve as the type-checker's importer: fixture
@@ -97,7 +115,7 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 		}
 		return lp.pkg, nil
 	}
-	return ld.std.Import(path)
+	return importStd(path)
 }
 
 // load parses, type-checks, and analyzes one fixture package (memoized).

@@ -11,14 +11,15 @@
 //     by VetxOutput, and exit 0 (clean) or 2 (findings).
 //
 // Dependency packages arrive with VetxOnly set: cmd/go only wants their
-// facts. For packages inside this module the checker runs the full analyzer
-// suite anyway — discarding diagnostics, keeping the exported facts — and
-// writes the union of imported and exported facts to VetxOutput. Re-exporting
-// imported facts is what makes the fact relation transitive: cmd/go hands
-// each unit only its *direct* imports' .vetx files, so every unit forwards
-// everything it knows. Packages outside the module (stdlib) are not
-// analyzed; their facts files carry whatever their own deps forwarded
-// (nothing, in practice).
+// facts. For packages that belong to a module the checker runs the full
+// analyzer suite anyway — discarding diagnostics, keeping the exported
+// facts — and writes the union of imported and exported facts to
+// VetxOutput. Re-exporting imported facts is what makes the fact relation
+// transitive: cmd/go hands each unit only its *direct* imports' .vetx
+// files, so every unit forwards everything it knows. Standard-library
+// packages (the only units without a module path) are not analyzed; their
+// facts files carry whatever their own deps forwarded (nothing, in
+// practice).
 //
 // After the full suite has run over a reporting unit, any //lint:allow
 // directive that suppressed no finding is itself reported under the
@@ -54,6 +55,7 @@ type config struct {
 	Compiler                  string
 	Dir                       string
 	ImportPath                string
+	ModulePath                string // "" for the standard library (and outside module mode)
 	GoVersion                 string
 	GoFiles                   []string
 	NonGoFiles                []string
@@ -175,9 +177,9 @@ func run(cfgFile string, jsonOut bool, analyzers []*analysis.Analyzer) int {
 			}
 		}
 	}
-	if cfg.VetxOnly && !moduleUnit(cfg.ImportPath) {
-		// Outside the module there is nothing to annotate: forward the
-		// dependency facts without analyzing.
+	if cfg.VetxOnly && cfg.ModulePath == "" {
+		// The standard library carries no //lightpc: annotations: forward
+		// the dependency facts without analyzing.
 		writeVetx()
 		return 0
 	}
@@ -265,14 +267,6 @@ func run(cfgFile string, jsonOut bool, analyzers []*analysis.Analyzer) int {
 		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(f.diag.Pos), f.diag.Message, f.analyzer)
 	}
 	return 2
-}
-
-// moduleUnit reports whether the unit belongs to this module — the only
-// packages whose source carries //lightpc: annotations and therefore the
-// only ones worth analyzing for facts. Test variants arrive with IDs like
-// "repro/internal/sim [repro/internal/sim.test]"; the prefix covers them.
-func moduleUnit(importPath string) bool {
-	return importPath == "repro" || strings.HasPrefix(importPath, "repro/")
 }
 
 // typeCheck rebuilds the package's types from the export data cmd/go

@@ -79,8 +79,7 @@ var required = map[string][]string{
 	"sim": {"Counter.Inc", "Histogram.Add", "bucketOf"},
 	"cpu": {"interleaver.run"},
 	"linetab": {
-		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",
-		"Table.Get", "Table.Set", "Bits.Get", "Bits.Set",
+		"Table.Get", "Table.Set",
 		"Slab.Put", "Slab.Get",
 		"Flight.Quiet", "Flight.End", "Flight.Busy", "Flight.Set", "Flight.Drain",
 	},

@@ -74,8 +74,8 @@ type Device struct {
 	// windows on insert, so write-only phases stay bounded too.
 	inFlight linetab.Flight
 
-	wear        *linetab.Counters
-	em          *energy.Meter // nil = energy accounting disabled
+	wear        *linetab.Table // row -> writes; nil unless TrackWear
+	em          *energy.Meter  // nil = energy accounting disabled
 	reads       sim.Counter
 	writes      sim.Counter
 	conflicts   sim.Counter // reads that found the target row programming
@@ -89,7 +89,7 @@ func NewDevice(cfg DeviceConfig) *Device {
 		rng: sim.NewRNG(cfg.Seed),
 	}
 	if cfg.TrackWear {
-		d.wear = linetab.NewCounters()
+		d.wear = linetab.NewTable()
 	}
 	return d
 }
@@ -155,7 +155,7 @@ func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corr
 		corrupted = true
 		d.errInjected.Inc()
 	}
-	if d.cfg.EnduranceCycles > 0 && d.wear != nil && d.wear.Get(row) > d.cfg.EnduranceCycles {
+	if d.cfg.EnduranceCycles > 0 && d.wearOf(row) > d.cfg.EnduranceCycles {
 		// The cell is worn out: set/reset switching no longer sticks.
 		corrupted = true
 		d.errInjected.Inc()
@@ -165,7 +165,7 @@ func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corr
 
 // WornOut reports whether a row has exceeded its endurance budget.
 func (d *Device) WornOut(row uint64) bool {
-	return d.cfg.EnduranceCycles > 0 && d.wear != nil && d.wear.Get(row) > d.cfg.EnduranceCycles
+	return d.cfg.EnduranceCycles > 0 && d.wearOf(row) > d.cfg.EnduranceCycles
 }
 
 // Write programs one granule at row. The device accepts the command as soon
@@ -193,7 +193,7 @@ func (d *Device) Write(now sim.Time, row uint64) (accept, complete sim.Time) {
 	d.busyUntil = accept.Add(d.cfg.ReadLatency)
 	d.inFlight.Set(now, row, complete)
 	if d.wear != nil {
-		d.wear.Inc(row)
+		d.wear.Set(row, d.wearOf(row)+1)
 	}
 	return accept, complete
 }
@@ -204,28 +204,41 @@ func (d *Device) Drain(now sim.Time) sim.Time {
 	return d.inFlight.Drain(now)
 }
 
-// WearCount reports the writes recorded against row (0 unless TrackWear).
-func (d *Device) WearCount(row uint64) uint64 {
+// wearOf reports the writes recorded against row: 0 for a row never
+// written, and for every row unless TrackWear.
+//
+//lightpc:zeroalloc
+func (d *Device) wearOf(row uint64) uint64 {
 	if d.wear == nil {
 		return 0
 	}
-	return d.wear.Get(row)
+	n, _ := d.wear.Get(row)
+	return n
 }
 
-// MaxWear reports the highest per-row write count and its row.
+// WearCount reports the writes recorded against row (0 unless TrackWear).
+func (d *Device) WearCount(row uint64) uint64 { return d.wearOf(row) }
+
+// MaxWear reports the highest per-row write count and its row; on a tie
+// the lowest row wins, because the scan runs in row order.
 func (d *Device) MaxWear() (row, count uint64) {
-	if d.wear == nil {
-		return 0, 0
+	if d.wear != nil {
+		d.wear.ForEach(func(r, n uint64) {
+			if n > count {
+				row, count = r, n
+			}
+		})
 	}
-	return d.wear.Max()
+	return row, count
 }
 
 // TouchedRows reports how many distinct rows have been written (TrackWear).
+// Wear only ever increments, so every stored row has been written.
 func (d *Device) TouchedRows() int {
 	if d.wear == nil {
 		return 0
 	}
-	return d.wear.Touched()
+	return d.wear.Len()
 }
 
 // Stats reports cumulative counters.

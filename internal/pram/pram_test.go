@@ -135,6 +135,42 @@ func TestWearTracking(t *testing.T) {
 	}
 }
 
+// TestMaxWearTieBreaksLow pins the wear scan: among rows with the highest
+// count the lowest row wins whatever order they were first written in, and
+// TouchedRows counts each distinct written row once, row 0 included.
+func TestMaxWearTieBreaksLow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrackWear = true
+	d := NewDevice(cfg)
+	if row, count := d.MaxWear(); row != 0 || count != 0 || d.TouchedRows() != 0 {
+		t.Fatalf("fresh device: MaxWear = (%d, %d), TouchedRows = %d", row, count, d.TouchedRows())
+	}
+	now := sim.Time(0)
+	write := func(row uint64) {
+		_, c := d.Write(now, row)
+		now = c
+	}
+	write(0)
+	for i := 0; i < 5; i++ {
+		for _, row := range []uint64{900, 3, 40000} { // three pages apart
+			write(row)
+		}
+	}
+	if row, count := d.MaxWear(); row != 3 || count != 5 {
+		t.Fatalf("MaxWear tie = (%d, %d), want lowest row (3, 5)", row, count)
+	}
+	if got := d.TouchedRows(); got != 4 {
+		t.Fatalf("TouchedRows = %d, want 4 distinct rows", got)
+	}
+	write(40000)
+	if row, count := d.MaxWear(); row != 40000 || count != 6 {
+		t.Fatalf("MaxWear = (%d, %d), want (40000, 6)", row, count)
+	}
+	if got := d.TouchedRows(); got != 4 {
+		t.Fatalf("TouchedRows after a rewrite = %d, want 4", got)
+	}
+}
+
 func TestWearDisabledByDefault(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	d.Write(0, 1)

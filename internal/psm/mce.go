@@ -40,11 +40,12 @@ func (p MCEPolicy) String() string {
 	}
 }
 
-// mceState tracks policy bookkeeping. poisoned stays nil until the first
-// poison, so the per-read Poisoned check on a healthy machine is one nil
-// compare.
+// mceState tracks policy bookkeeping. poisoned holds one entry per
+// poisoned line (the value is unused: a line is poisoned iff present). It
+// stays nil until the first poison, so the per-read Poisoned check on a
+// healthy machine is one nil compare.
 type mceState struct {
-	poisoned *linetab.Bits
+	poisoned *linetab.Table
 	resets   uint64
 	retries  uint64
 	poisons  uint64
@@ -70,9 +71,9 @@ func (p *PSM) handleUncontained(now sim.Time, line uint64) (sim.Time, bool) {
 	case MCEPoison:
 		p.mce.poisons++
 		if p.mce.poisoned == nil {
-			p.mce.poisoned = linetab.NewBits()
+			p.mce.poisoned = linetab.NewTable()
 		}
-		p.mce.poisoned.Set(line)
+		p.mce.poisoned.Set(line, 1)
 		p.raiseMCE(now, line)
 		return now, false
 	default: // MCEReset
@@ -90,7 +91,13 @@ func (p *PSM) resetForColdBoot() {
 // Poisoned reports whether a line carries a poison marker (MCEPoison).
 //
 //lightpc:zeroalloc
-func (p *PSM) Poisoned(line uint64) bool { return p.mce.poisoned.Get(line) }
+func (p *PSM) Poisoned(line uint64) bool {
+	if p.mce.poisoned == nil {
+		return false
+	}
+	_, ok := p.mce.poisoned.Get(line)
+	return ok
+}
 
 // MCECounters reports per-policy bookkeeping: resets performed, retries
 // attempted, lines poisoned.

@@ -67,6 +67,9 @@ func TestMCEPoisonPolicy(t *testing.T) {
 	p := New(corruptingConfig(MCEPoison))
 	mces := 0
 	p.SetMCEHandler(func(sim.Time, uint64) { mces++ })
+	if p.Poisoned(42) || p.mce.poisoned != nil {
+		t.Fatal("healthy machine reports poison or holds a poison table")
+	}
 	p.Read(0, 42)
 	if !p.Poisoned(42) {
 		t.Fatal("line not poisoned")
