@@ -13,71 +13,111 @@ import (
 // are the structures backing golden-pinned device models, so the shadows are
 // exact re-statements of the old semantics, not approximations.
 
-// TestTableDiff drives three tables in the three shapes the devices use —
-// values with stored zeros (memctrl's tag array), read-modify-write
-// counters with absent read as zero (pram wear) and presence-only sets
-// (psm poison) — each against the map it replaced.
+// TestTableDiff drives a table in the shape memctrl's tag array uses —
+// values with stored zeros kept present — against the map it replaced.
 func TestTableDiff(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
-		vals, counts, set := NewTable(), NewTable(), NewTable()
-		valShadow := map[uint64]uint64{}
-		countShadow := map[uint64]uint64{}
-		setShadow := map[uint64]bool{}
+		tb := NewTable()
+		shadow := map[uint64]uint64{}
+		for op := 0; op < 20000; op++ {
+			idx := rng.Uint64n(1 << 13)
+			if rng.Bool(0.02) {
+				idx = rng.Uint64() // occasional far/spill index
+			}
+			if rng.Bool(0.7) {
+				v := rng.Uint64n(100) // stored zeros must stay present
+				tb.Set(idx, v)
+				shadow[idx] = v
+			}
+			gv, gok := tb.Get(idx)
+			sv, sok := shadow[idx]
+			if gv != sv || gok != sok {
+				t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), shadow (%d, %v)", seed, op, idx, gv, gok, sv, sok)
+			}
+			if tb.Len() != len(shadow) {
+				t.Fatalf("seed %d op %d: Len = %d, shadow %d", seed, op, tb.Len(), len(shadow))
+			}
+		}
+		checkForEach(t, seed, tb, shadow)
+	}
+}
+
+// TestCountersDiff drives a table as a read-modify-write counter with absent
+// read as zero — the shape pram's wear table uses — against the map it
+// replaced.
+func TestCountersDiff(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		c := NewTable()
+		shadow := map[uint64]uint64{}
 		for op := 0; op < 20000; op++ {
 			idx := rng.Uint64n(1 << 14)
 			if rng.Bool(0.02) {
 				idx = rng.Uint64() // occasional far/spill index
 			}
-			switch rng.Intn(3) {
-			case 0:
-				v := rng.Uint64n(100) // stored zeros must stay present
-				vals.Set(idx, v)
-				valShadow[idx] = v
-			case 1:
-				n, _ := counts.Get(idx)
-				counts.Set(idx, n+1)
-				countShadow[idx]++
-			case 2:
-				set.Set(idx, 1)
-				setShadow[idx] = true
+			if rng.Bool(0.2) {
+				c.Set(idx, idx%7) // overwrite, zero included
+				shadow[idx] = idx % 7
+			} else {
+				n, _ := c.Get(idx)
+				c.Set(idx, n+1)
+				shadow[idx]++
 			}
-			gv, gok := vals.Get(idx)
-			sv, sok := valShadow[idx]
-			if gv != sv || gok != sok {
-				t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), shadow (%d, %v)", seed, op, idx, gv, gok, sv, sok)
-			}
-			if n, _ := counts.Get(idx); n != countShadow[idx] {
-				t.Fatalf("seed %d op %d: count(%d) = %d, shadow %d", seed, op, idx, n, countShadow[idx])
-			}
-			if _, ok := set.Get(idx); ok != setShadow[idx] {
-				t.Fatalf("seed %d op %d: in set(%d) = %v, shadow %v", seed, op, idx, ok, setShadow[idx])
-			}
-			if vals.Len() != len(valShadow) || counts.Len() != len(countShadow) || set.Len() != len(setShadow) {
-				t.Fatalf("seed %d op %d: Len = %d/%d/%d, shadow %d/%d/%d", seed, op,
-					vals.Len(), counts.Len(), set.Len(), len(valShadow), len(countShadow), len(setShadow))
+			if n, _ := c.Get(idx); n != shadow[idx] {
+				t.Fatalf("seed %d op %d: count(%d) = %d, shadow %d", seed, op, idx, n, shadow[idx])
 			}
 		}
-		for _, c := range []struct {
-			name   string
-			tb     *Table
-			shadow map[uint64]uint64
-		}{{"vals", vals, valShadow}, {"counts", counts, countShadow}} {
-			n := 0
-			var prev uint64
-			c.tb.ForEach(func(idx, val uint64) {
-				if n > 0 && idx <= prev {
-					t.Fatalf("seed %d: %s ForEach out of order at %d after %d", seed, c.name, idx, prev)
-				}
-				n, prev = n+1, idx
-				if sv, ok := c.shadow[idx]; !ok || sv != val {
-					t.Fatalf("seed %d: %s ForEach (%d, %d) not in shadow", seed, c.name, idx, val)
-				}
-			})
-			if n != len(c.shadow) {
-				t.Fatalf("seed %d: %s ForEach visited %d, shadow %d", seed, c.name, n, len(c.shadow))
+		if c.Len() != len(shadow) {
+			t.Fatalf("seed %d: Len = %d, shadow %d", seed, c.Len(), len(shadow))
+		}
+		checkForEach(t, seed, c, shadow)
+	}
+}
+
+// TestBitsDiff drives a presence-only table — the shape psm's poison set
+// uses — against the map[uint64]bool it replaced.
+func TestBitsDiff(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		b := NewTable()
+		shadow := map[uint64]bool{}
+		for op := 0; op < 20000; op++ {
+			idx := rng.Uint64n(1 << 18)
+			if rng.Bool(0.02) {
+				idx = rng.Uint64()
+			}
+			if rng.Bool(0.5) {
+				b.Set(idx, 1)
+				shadow[idx] = true
+			}
+			if _, ok := b.Get(idx); ok != shadow[idx] {
+				t.Fatalf("seed %d op %d: Get(%d) = %v, shadow %v", seed, op, idx, ok, shadow[idx])
+			}
+			if b.Len() != len(shadow) {
+				t.Fatalf("seed %d op %d: Len = %d, shadow %d", seed, op, b.Len(), len(shadow))
 			}
 		}
+	}
+}
+
+// checkForEach asserts that tb's ForEach visits exactly the shadow's
+// entries, in ascending index order.
+func checkForEach(t *testing.T, seed uint64, tb *Table, shadow map[uint64]uint64) {
+	t.Helper()
+	n := 0
+	var prev uint64
+	tb.ForEach(func(idx, val uint64) {
+		if n > 0 && idx <= prev {
+			t.Fatalf("seed %d: ForEach out of order at %d after %d", seed, idx, prev)
+		}
+		n, prev = n+1, idx
+		if sv, ok := shadow[idx]; !ok || sv != val {
+			t.Fatalf("seed %d: ForEach (%d, %d) not in shadow", seed, idx, val)
+		}
+	})
+	if n != len(shadow) {
+		t.Fatalf("seed %d: ForEach visited %d, shadow %d", seed, n, len(shadow))
 	}
 }
 
