@@ -34,9 +34,9 @@ race-parallel:
 vet:
 	$(GO) vet ./...
 
-# lightpc-lint: the repo's own go/analysis suite, five analyzers
-# (simtime, hotpath, plus the fact-based interprocedural passes
-# detreach, zeroalloc, persistorder)
+# lightpc-lint: the repo's own go/analysis suite, four analyzers
+# (simtime, plus the fact-based interprocedural passes detreach,
+# zeroalloc, persistorder)
 # run through go vet's -vettool hook over the whole module — internal/,
 # cmd/, and examples/ alike. The wall time is printed so CI logs track
 # the cost of the suite as it grows.
@@ -47,7 +47,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 5 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: 4 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -74,15 +74,13 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-benchseed -out $(BIN)/bench-new.json
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
-# fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
-# line tables, the PMEM-DIMM LRU tier and the crash-cut engine (the checked-in corpora also replay
-# as plain seeds in `make test`). FUZZTIME sets each target's budget; CI
-# runs it with FUZZTIME=10s.
+# fuzz-smoke: a short native-fuzzing pass over the line tables, the
+# PMEM-DIMM LRU tier and the crash-cut engine (the checked-in corpora also
+# replay as plain seeds in `make test`). FUZZTIME sets each target's
+# budget; CI runs it with FUZZTIME=10s.
 FUZZTIME ?= 2s
 
 fuzz-smoke:
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)

@@ -4,7 +4,7 @@
 //	go build -o bin/lightpc-lint ./cmd/lightpc-lint
 //	go vet -vettool=$(pwd)/bin/lightpc-lint ./...
 //
-// (or simply `make lint`). It bundles five analyzers that enforce, at vet
+// (or simply `make lint`). It bundles four analyzers that enforce, at vet
 // time, the invariants the reproduction otherwise only checks dynamically:
 //
 //	detreach       bit-for-bit determinism from one policy table: no wall
@@ -25,12 +25,12 @@
 //	zeroalloc      functions annotated //lightpc:zeroalloc (and the pinned
 //	               hot set behind BENCH_SEED.json's 0 allocs/op benches)
 //	               contain no allocation sites and only call functions that
-//	               carry the zeroalloc fact, transitively across packages
+//	               carry the zeroalloc fact, transitively across packages;
+//	               the device hot packages (pram, memctrl, psm, pmemdimm)
+//	               may not hold map[uint64]-keyed fields, because per-line
+//	               metadata lives on internal/linetab's paged tables
 //	simtime        stdlib time.Duration (nanoseconds) never mixes with
 //	               sim.Duration/sim.Time (picoseconds)
-//	hotpath        the device hot packages (pram, memctrl, psm, pmemdimm)
-//	               may not hold map[uint64]-keyed fields; per-line metadata
-//	               lives on internal/linetab's paged tables
 //
 // Findings can be suppressed in place with a reasoned directive:
 //
@@ -42,7 +42,6 @@ package main
 
 import (
 	"repro/internal/lint/detreach"
-	"repro/internal/lint/hotpath"
 	"repro/internal/lint/persistorder"
 	"repro/internal/lint/simtime"
 	"repro/internal/lint/unitchecker"
@@ -55,6 +54,5 @@ func main() {
 		persistorder.Analyzer,
 		zeroalloc.Analyzer,
 		simtime.Analyzer,
-		hotpath.Analyzer,
 	)
 }

@@ -16,7 +16,7 @@ type Device struct {
 	byDev    map[struct{ d int }]bool
 	byStr    map[string]uint64
 	byU32    map[uint32]uint64
-	legacy   map[uint64]bool //lint:allow hotpath cold path, bounded
+	legacy   map[uint64]bool //lint:allow zeroalloc cold path, bounded
 }
 
 type inner struct {

@@ -35,6 +35,18 @@
 // holds at 0 allocs/op (sim statistics, line-table ops, disabled
 // instruments, device write paths) are registered here and must carry the
 // annotation, so the bench pin and the static contract cannot drift apart.
+//
+// In the device hot packages (pram, memctrl, psm, pmemdimm), which perform
+// one metadata lookup per simulated memory access, the analyzer also
+// forbids map[uint64]-keyed struct fields. A profile of the experiment
+// suite once showed ~40% of all CPU inside Go map machinery for exactly
+// these lookups; internal/linetab's paged tables (Table, Slab, Flight) and
+// pmemdimm's open-addressed LRU index replace them. Only struct fields are
+// flagged, in non-test files: a local map in a constructor or cold path is
+// fine, and so is a non-uint64 key such as psm's composite devKey. A
+// genuinely cold, bounded field takes a reasoned allow:
+//
+//	legacy map[uint64]bool //lint:allow zeroalloc cold path, bounded
 package zeroalloc
 
 import (
@@ -129,6 +141,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	checkRegistry(pass, declByName)
+	checkHotFields(pass)
 
 	for _, fd := range decls {
 		checkBody(pass, fd, annotated)
@@ -175,6 +188,53 @@ func checkRegistry(pass *analysis.Pass, declByName map[string]*ast.FuncDecl) {
 				"%s is in the pinned 0-alloc hot set (BENCH_SEED.json) and must carry //lightpc:zeroalloc", name)
 		}
 	}
+}
+
+// mapFreePackages are the device hot packages whose structs may not hold
+// map[uint64]-keyed fields, matched by the import path's last element so
+// fixture stubs scope the same way.
+var mapFreePackages = map[string]bool{"pram": true, "memctrl": true, "psm": true, "pmemdimm": true}
+
+// checkHotFields reports map[uint64]-keyed struct fields, named or nested,
+// in the non-test files of a device hot package.
+func checkHotFields(pass *analysis.Pass) {
+	path := pass.Pkg.Path()
+	if !mapFreePackages[path[strings.LastIndex(path, "/")+1:]] {
+		return
+	}
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				if !uint64KeyedMap(pass.TypesInfo.TypeOf(field.Type)) {
+					continue
+				}
+				name := "embedded"
+				if len(field.Names) > 0 {
+					name = field.Names[0].Name
+				}
+				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Table/Slab/Flight)", name, path)
+			}
+			return true
+		})
+	}
+}
+
+// uint64KeyedMap reports whether t is (or aliases) a map keyed by uint64,
+// including named map types and named/aliased uint64 keys.
+func uint64KeyedMap(t types.Type) bool {
+	m, ok := underlying(t).(*types.Map)
+	if !ok {
+		return false
+	}
+	basic, ok := m.Key().Underlying().(*types.Basic)
+	return ok && basic.Kind() == types.Uint64
 }
 
 // checker walks one annotated body.

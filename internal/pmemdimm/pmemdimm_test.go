@@ -256,26 +256,33 @@ func TestDIMMInvariantsProperty(t *testing.T) {
 // warm-up made is counted (one measured run, so amortized growth cannot
 // average down to zero). The obs layer samples these counters via
 // CounterFunc, so the instrumented DIMM must stay as allocation-free as the
-// bare one.
+// bare one. AllocsPerRun counts every malloc in the process, so the whole
+// measurement (fresh DIMM, same warm-up, same seeds) is repeated up to
+// three times and the minimum is checked.
 func TestDIMMSteadyStateAllocFree(t *testing.T) {
-	d := New(Config{Seed: 1})
-	rng := sim.NewRNG(2)
-	now := sim.Time(0)
-	// Warm both tiers to capacity so inserts only recycle slots.
-	for i := 0; i < 3*4096; i++ {
-		now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
-		now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
-	}
-
 	const rounds = 4 * 4096
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < rounds; i++ {
+	measure := func() float64 {
+		d := New(Config{Seed: 1})
+		rng := sim.NewRNG(2)
+		now := sim.Time(0)
+		// Warm both tiers to capacity so inserts only recycle slots.
+		for i := 0; i < 3*4096; i++ {
 			now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
 			now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
-			now = d.Read(now, rng.Uint64())
 		}
-	})
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < rounds; i++ {
+				now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
+				now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
+				now = d.Read(now, rng.Uint64())
+			}
+		})
+	}
+	allocs := measure()
+	for attempt := 1; attempt < 3 && allocs != 0; attempt++ {
+		allocs = min(allocs, measure())
+	}
 	if allocs != 0 {
-		t.Fatalf("steady-state DIMM access made %.0f allocations over %d rounds, want 0", allocs, rounds)
+		t.Fatalf("steady-state DIMM access made %.0f allocations over %d rounds (minimum of 3 attempts), want 0", allocs, rounds)
 	}
 }

@@ -160,16 +160,25 @@ func TestHistogramFootprintAndAllocFree(t *testing.T) {
 	if size := unsafe.Sizeof(histBlock{}); size > 20<<10 {
 		t.Fatalf("a fresh Histogram is %d B, want ≤ 20 KB", size)
 	}
-	h := NewHistogram()
-	v := Duration(1)
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 1<<16; i++ {
-			h.Add(v)
-			v = (v*3 + 1) & (1<<45 - 1)
-		}
-	})
+	// AllocsPerRun counts every malloc in the process, so the whole
+	// measurement (fresh histogram, same samples) is repeated up to three
+	// times and the minimum is checked.
+	measure := func() float64 {
+		h := NewHistogram()
+		v := Duration(1)
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1<<16; i++ {
+				h.Add(v)
+				v = (v*3 + 1) & (1<<45 - 1)
+			}
+		})
+	}
+	allocs := measure()
+	for attempt := 1; attempt < 3 && allocs != 0; attempt++ {
+		allocs = min(allocs, measure())
+	}
 	if allocs != 0 {
-		t.Fatalf("Add made %.0f allocations over 2^16 samples, want 0", allocs)
+		t.Fatalf("Add made %.0f allocations over 2^16 samples (minimum of 3 attempts), want 0", allocs)
 	}
 }
 
